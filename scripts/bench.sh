@@ -110,13 +110,15 @@ mv "$TMP_SPEC" "$SPECULATIVE_OUT"
 trap - EXIT
 echo "wrote $SPECULATIVE_OUT"
 
-# Interpreter old-vs-new: BENCH_interp.json records the legacy tree-walk
-# against the predecoded direct-threaded engine (plus predecode cost,
-# profiled overhead, and fuzz-execution throughput). Publication is gated:
-# the predecoded engine must be >= 3x faster than the legacy engine at
-# BM_Interpret/64 (the ISSUE 6 acceptance floor; target band is 5-10x), so
-# a regression that erodes the speedup refuses to overwrite the record.
+# Interpreter: BENCH_interp.json records the predecoded direct-threaded
+# engine (plus predecode cost, profiled overhead, and fuzz-execution
+# throughput). Publication is refused when BM_Interpret/64 real time
+# exceeds a fixed anchor by more than 25%. The anchor is the 591.3 us
+# figure recorded for the engine when the legacy tree-walker was deleted;
+# it is a constant, not read back from the file this step overwrites, so
+# republishing cannot move the bound.
 INTERP_OUT=${INTERP_OUT:-BENCH_interp.json}
+INTERP_ANCHOR_US=591.3
 cmake --build "$BUILD_DIR" -j --target bench_interp >/dev/null
 
 TMP_INTERP=$(mktemp "${TMPDIR:-/tmp}/bench_interp.XXXXXX.json")
@@ -131,22 +133,18 @@ grep -q '"epre_build_type": "Release"' "$TMP_INTERP" ||
 grep -q '"epre_assertions": "disabled"' "$TMP_INTERP" ||
   refuse "bench_interp was built with assertions enabled (no NDEBUG)"
 
-SPEEDUP=$(awk '
-  /"name": "BM_InterpretLegacy\/64"/ { want = 1 }
-  /"name": "BM_Interpret\/64"/       { want = 2 }
+INTERP_NOW=$(awk '
+  /"name": "BM_Interpret\/64"/ { want = 1 }
   /"real_time":/ && want {
     gsub(/[^0-9.eE+-]/, "", $2)
-    if (want == 1) legacy = $2; else pre = $2
-    want = 0
-  }
-  END {
-    if (legacy == "" || pre == "" || pre + 0 == 0) { print "nan"; exit }
-    printf "%.2f", legacy / pre
+    print $2
+    exit
   }' "$TMP_INTERP")
 
-echo "interpreter speedup at BM_Interpret/64: ${SPEEDUP}x (legacy / predecoded)"
-awk -v s="$SPEEDUP" 'BEGIN { exit !(s + 0 >= 3.0) }' ||
-  refuse "predecoded interpreter is only ${SPEEDUP}x faster (gate: >= 3x)"
+echo "BM_Interpret/64: ${INTERP_NOW} us (anchor: ${INTERP_ANCHOR_US} us, gate: <= +25%)"
+awk -v now="$INTERP_NOW" -v base="$INTERP_ANCHOR_US" \
+  'BEGIN { exit !(now + 0 > 0 && now <= base * 1.25) }' ||
+  refuse "BM_Interpret/64 is ${INTERP_NOW} us, over 1.25x the ${INTERP_ANCHOR_US} us anchor"
 
 mv "$TMP_INTERP" "$INTERP_OUT"
 trap - EXIT

@@ -72,23 +72,6 @@ struct ProblemView {
     return P.ExtraBoundary && (*P.ExtraBoundary)[B];
   }
 
-  /// Applies the transfer for \p B to \p S in place, via the Gen/Kill sets
-  /// when the problem provides them (two passes — the historical shape the
-  /// round-robin baseline preserves) or the general lambda otherwise.
-  /// Returns the number of whole-vector kernel passes performed.
-  unsigned applyTransfer(BlockId B, BitVector &S) const {
-    if (P.Gen) {
-      if (P.Preserve)
-        S.intersectWith((*P.Preserve)[B]);
-      else
-        S.intersectWithComplement((*P.Kill)[B]);
-      S.unionWith((*P.Gen)[B]);
-      return 2;
-    }
-    P.Transfer(B, S);
-    return 2;
-  }
-
   /// Returns the meet-side set for \p B without copying when it is already
   /// materialized somewhere: the shared empty vector for boundary blocks, a
   /// sole neighbour's flow set, or the bare seed. Falls back to computing
@@ -207,42 +190,11 @@ DataflowStats solveWorklist(const ProblemView &V,
   return Stats;
 }
 
-/// The pre-change solver, preserved verbatim in shape: sweep every block in
-/// order until a full pass makes no change, allocating fresh temporaries and
-/// comparing whole vectors on every visit. Reference implementation for the
-/// equivalence tests and the before/after benchmarks.
-DataflowStats solveRoundRobin(const ProblemView &V,
-                              const std::vector<BlockId> &Order,
-                              std::vector<BitVector> &MeetSets,
-                              std::vector<BitVector> &FlowSets) {
-  DataflowStats Stats;
-  const uint64_t W = BitVector(V.P.NumBits).numWords();
-  Stats.BlocksVisited = unsigned(Order.size());
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (BlockId B : Order) {
-      ++Stats.Iterations;
-      BitVector NewMeet(V.P.NumBits);
-      Stats.WordsTouched += W * V.meetInto(B, FlowSets, NewMeet);
-      BitVector NewFlow = NewMeet;
-      Stats.WordsTouched += W * (1 + V.applyTransfer(B, NewFlow));
-      if (NewMeet != MeetSets[B] || NewFlow != FlowSets[B]) {
-        MeetSets[B] = std::move(NewMeet);
-        FlowSets[B] = std::move(NewFlow);
-        Changed = true;
-      }
-    }
-  }
-  return Stats;
-}
-
 } // namespace
 
 DataflowStats epre::solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
                                      std::vector<BitVector> &MeetSets,
-                                     std::vector<BitVector> &FlowSets,
-                                     DataflowSolverKind Kind) {
+                                     std::vector<BitVector> &FlowSets) {
   assert((P.Gen || P.Transfer) && "dataflow problem needs a transfer");
   assert((!P.Gen || (!!P.Preserve ^ !!P.Kill)) &&
          "Gen needs exactly one of Preserve/Kill");
@@ -254,10 +206,6 @@ DataflowStats epre::solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
     return {};
 
   ProblemView V{G, P};
-  std::vector<BlockId> Order =
-      V.Forward() ? G.rpo() : G.postorder();
-
-  return Kind == DataflowSolverKind::Worklist
-             ? solveWorklist(V, Order, MeetSets, FlowSets)
-             : solveRoundRobin(V, Order, MeetSets, FlowSets);
+  std::vector<BlockId> Order = V.Forward() ? G.rpo() : G.postorder();
+  return solveWorklist(V, Order, MeetSets, FlowSets);
 }

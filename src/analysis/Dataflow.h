@@ -1,4 +1,4 @@
-//===- analysis/Dataflow.h - Worklist bit-vector dataflow engine -*- C++ -*-===//
+//===- analysis/Dataflow.h - Worklist bit-vector dataflow -------*- C++ -*-===//
 ///
 /// \file
 /// A shared solver for the global bit-vector dataflow problems of the
@@ -17,11 +17,9 @@
 ///  - all temporaries come from a BitVectorScratch pool, so the steady-state
 ///    solve performs zero heap allocation.
 ///
-/// The pre-change round-robin solver (sweep every block until a full pass
-/// makes no change, fresh temporaries per visit) is kept selectable via
-/// DataflowSolverKind::RoundRobin as the reference implementation for the
-/// equivalence tests and the before/after benchmarks. Both solvers compute
-/// the same unique fixpoint of the monotone equation system, bit for bit.
+/// A monotone system of this kind has a single fixpoint whatever the
+/// iteration order, so there is one solver. tests/dataflow_test.cpp checks
+/// it against a dense round-robin iteration written inside the test.
 ///
 /// See docs/dataflow-engine.md for the design discussion.
 ///
@@ -46,18 +44,11 @@ enum class MeetOp {
   Union,     ///< any-path problems (liveness); sets start all-zero
 };
 
-/// Which solver runs the fixpoint.
-enum class DataflowSolverKind {
-  Worklist,   ///< sparse worklist with change-driven re-enqueueing (default)
-  RoundRobin, ///< the pre-change dense sweep, kept for equivalence/benchmarks
-};
-
 /// Cost counters for one solve; cheap to gather, surfaced through
 /// PREStats/PipelineStats so degenerate CFGs that iterate excessively are
 /// visible in the suite driver.
 struct DataflowStats {
-  unsigned Iterations = 0;    ///< block transfer evaluations (worklist pops,
-                              ///< or sweeps x blocks for round-robin)
+  unsigned Iterations = 0;    ///< block transfer evaluations (worklist pops)
   unsigned BlocksVisited = 0; ///< distinct blocks evaluated at least once
   uint64_t WordsTouched = 0;  ///< 64-bit words moved by the solver's meet,
                               ///< store, and compare kernels
@@ -114,11 +105,9 @@ struct BitDataflowProblem {
 /// backward). Both are (re)initialized by the solver — all-ones for
 /// intersect problems, all-zero for union — and unreachable blocks keep
 /// that initial value, matching the historical solvers.
-DataflowStats
-solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
-                 std::vector<BitVector> &MeetSets,
-                 std::vector<BitVector> &FlowSets,
-                 DataflowSolverKind Kind = DataflowSolverKind::Worklist);
+DataflowStats solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
+                               std::vector<BitVector> &MeetSets,
+                               std::vector<BitVector> &FlowSets);
 
 } // namespace epre
 

@@ -54,7 +54,7 @@ struct OracleConfig {
   bool SyntheticProfile = false;
 };
 
-/// The full configuration matrix (21 configs, covering all three GVN
+/// The full configuration matrix (20 configs, covering all three GVN
 /// engines at both opt levels), or the CI-budget subset (7 configs) when
 /// \p Quick.
 std::vector<OracleConfig> oracleConfigs(bool Quick = false);

@@ -34,14 +34,19 @@ const char *epre::interpDispatchMode() {
 // Predecoder
 //===----------------------------------------------------------------------===//
 
+bool Predecoder::refuse(std::string Shape, const BasicBlock *B,
+                        unsigned Inst) {
+  Refused.Shape = std::move(Shape);
+  Refused.Block = B;
+  Refused.Inst = Inst;
+  return false;
+}
+
 bool Predecoder::predecode(const Function &F, Arena &A, BytecodeFunction &Out) {
   Out = BytecodeFunction();
-  if (F.numBlocks() == 0 || F.numBlocks() > 65535 || !F.block(0))
-    return false;
-  // Entry-block phis would need a synthetic InvalidBlock predecessor edge;
-  // the verifier rejects them, so fall back instead of modelling it.
-  if (F.block(0)->firstNonPhi() != 0)
-    return false;
+  Refused = Refusal();
+  if (F.numBlocks() == 0 || !F.block(0))
+    return refuse("function has no entry block");
   if (!emitFunction(F))
     return false;
 
@@ -56,6 +61,10 @@ bool Predecoder::predecode(const Function &F, Arena &A, BytecodeFunction &Out) {
     else
       Code[Fx.PC].Imm = int64_t(PC);
   }
+  // Execution starts on the edge into the entry block from no block: its
+  // phis (legal when a back edge targets the entry) select that edge's
+  // entry like any other block's, or trap for the lack of one.
+  uint32_t StartPC = emitEdge(F, InvalidBlock, 0);
 
   PInst *C = A.allocArray<PInst>(Code.size());
   std::copy(Code.begin(), Code.end(), C);
@@ -67,7 +76,7 @@ bool Predecoder::predecode(const Function &F, Arena &A, BytecodeFunction &Out) {
   Out.CodeLen = uint32_t(Code.size());
   Out.Blocks = B;
   Out.NumBlocks = uint32_t(PBlocks.size());
-  Out.StartPC = PBlocks[PBlockOf[0]].FirstPC;
+  Out.StartPC = StartPC;
   Out.RegFileSize = F.numRegs() + MaxPhis;
   Out.FusedCount = Fused;
   Out.SrcVersion = F.version();
@@ -100,22 +109,21 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
   Info.OrigId = B.id();
   Info.FirstPC = uint32_t(Code.size());
 
-  // Execution stops at the first terminator (the legacy loop breaks there);
-  // anything after it in the vector is unreachable and not translated. A
-  // block with no terminator at all re-runs forever in the legacy engine —
-  // verifier-rejected; fall back.
+  // Execution stops at the first terminator; anything after it in the
+  // vector is unreachable and not translated.
   unsigned FirstNonPhi = B.firstNonPhi();
   unsigned ExecLen = 0;
   for (unsigned I = FirstNonPhi; I < B.Insts.size(); ++I) {
     if (B.Insts[I].isPhi())
-      return false; // phi after the first non-phi: verifier-rejected shape
+      return refuse("phi after non-phi", &B, I);
     if (B.Insts[I].isTerminator()) {
       ExecLen = I + 1;
       break;
     }
   }
-  if (ExecLen == 0 || ExecLen > 65535)
-    return false;
+  if (ExecLen == 0)
+    return refuse("block does not end in a terminator", &B,
+                  unsigned(B.Insts.size()));
 
   Info.FirstNonPhi = FirstNonPhi;
   Info.ExecLen = ExecLen;
@@ -131,13 +139,18 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
   for (unsigned I = 0; I < ExecLen; ++I) {
     const Instruction &Ins = B.Insts[I];
     if (Ins.Dst >= F.numRegs())
-      return false;
+      return refuse(strprintf("destination register %%r%u out of range",
+                              Ins.Dst),
+                    &B, I);
     for (Reg R : Ins.Operands)
       if (R >= F.numRegs())
-        return false;
+        return refuse(strprintf("operand register %%r%u out of range", R), &B,
+                      I);
     for (BlockId S : Ins.Succs)
       if (S >= F.numBlocks())
-        return false;
+        return refuse(strprintf("branch to nonexistent block %u", S), &B, I);
+    if (Ins.isPhi() && Ins.PhiBlocks.size() != Ins.Operands.size())
+      return refuse("phi operand/block count mismatch", &B, I);
   }
 
   {
@@ -145,16 +158,14 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     E.Op = POp::BlockEntry;
     E.A = PBIdx;
     E.Imm = int64_t(Info.Ops);
-    E.Blk = uint16_t(PBIdx);
+    E.Blk = PBIdx;
     Code.push_back(E);
   }
 
   auto base = [&](unsigned Idx) {
     PInst P{};
-    P.Blk = uint16_t(PBIdx);
-    P.InstIdx = uint16_t(Idx);
-    P.OpsInto = uint32_t(Idx - FirstNonPhi + 1);
-    P.OrigOp = uint8_t(B.Insts[Idx].Op);
+    P.Blk = PBIdx;
+    P.InstIdx = Idx;
     P.Ty = B.Insts[Idx].Ty;
     return P;
   };
@@ -169,9 +180,6 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     const Instruction &I0 = B.Insts[I];
     const Instruction &I1 = B.Insts[I + 1];
     PInst P = base(I);
-    P.InstIdx2 = uint16_t(I + 1);
-    P.OrigOp2 = uint8_t(I1.Op);
-    P.OpsInto = uint32_t(I + 1 - FirstNonPhi + 1);
     // Address arithmetic feeding a load.
     if (I0.Op == Opcode::Add && I0.Ty == Type::I64 &&
         I0.Operands.size() == 2 && I0.Dst != NoReg && I1.Op == Opcode::Load &&
@@ -229,12 +237,12 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
 
   auto emitOne = [&](unsigned Idx) -> bool {
     const Instruction &I = B.Insts[Idx];
-    // The legacy engine tolerates short operand lists (evalPure substitutes
-    // zeros); the executor reads fixed slots, so route those shapes — all
-    // verifier-rejected — to the fallback.
+    // The executor reads fixed operand slots.
     int FO = fixedOperandCount(I.Op);
     if (FO >= 0 && int(I.Operands.size()) != FO)
-      return false;
+      return refuse(strprintf("%s expects %d operands, has %zu",
+                              opcodeName(I.Op), FO, I.Operands.size()),
+                    &B, Idx);
     PInst P = base(Idx);
     bool IsI = I.Ty == Type::I64;
     switch (I.Op) {
@@ -295,8 +303,10 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
     case Opcode::Xor:
     case Opcode::Shl:
     case Opcode::Shr:
-      if (!IsI)
-        return false; // F64-typed integer-only op: legacy arithmetic-traps
+      if (!IsI) {
+        P.Op = POp::TrapArith; // F64-typed integer-only op (see evalPure)
+        break;
+      }
       P.Op = I.Op == Opcode::Mod   ? POp::ModI
              : I.Op == Opcode::And ? POp::AndI
              : I.Op == Opcode::Or  ? POp::OrI
@@ -308,8 +318,10 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
       P.B = I.Operands[1];
       break;
     case Opcode::Not:
-      if (!IsI)
-        return false;
+      if (!IsI) {
+        P.Op = POp::TrapArith;
+        break;
+      }
       P.Op = POp::NotI;
       P.Dst = I.Dst;
       P.A = I.Operands[0];
@@ -353,7 +365,9 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
       break;
     case Opcode::Call:
       if (I.Operands.empty() || I.Operands.size() > 2)
-        return false;
+        return refuse(strprintf("call expects 1 or 2 operands, has %zu",
+                                I.Operands.size()),
+                      &B, Idx);
       P.Op = POp::CallOp;
       P.Sub = uint8_t(I.Intr);
       P.Flags = uint8_t(I.Operands.size());
@@ -363,14 +377,18 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
       break;
     case Opcode::Br:
       if (I.Succs.size() != 1)
-        return false;
+        return refuse(strprintf("br expects 1 successor, has %zu",
+                                I.Succs.size()),
+                      &B, Idx);
       P.Op = POp::Br;
       P.X = I.Succs[0];
       Fixups.push_back({uint32_t(Code.size()), B.id(), I.Succs[0], false});
       break;
     case Opcode::Cbr:
       if (I.Succs.size() != 2)
-        return false;
+        return refuse(strprintf("cbr expects 2 successors, has %zu",
+                                I.Succs.size()),
+                      &B, Idx);
       P.Op = POp::CbrOp;
       P.A = I.Operands[0];
       P.X = I.Succs[0];
@@ -386,7 +404,7 @@ bool Predecoder::emitBlock(const Function &F, const BasicBlock &B,
       }
       break;
     case Opcode::Phi:
-      return false; // unreachable: phis rejected above
+      return refuse("phi after non-phi", &B, Idx); // caught above already
     }
     Code.push_back(P);
     return true;
@@ -409,7 +427,7 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
   const BasicBlock *S = F.block(Succ);
   if (!S) {
     // Branch into a tombstone: the branch itself executes (and counts),
-    // then the legacy loop traps looking the block up.
+    // then the run traps entering the block.
     uint32_t PC = uint32_t(Code.size());
     PInst P{};
     P.Op = POp::TrapErased;
@@ -424,9 +442,9 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
 
   uint32_t PC = uint32_t(Code.size());
 
-  // Select each phi's incoming value for this predecessor. The legacy
-  // engine reads them all before writing any; a missing entry traps before
-  // any write, so the trap stub replaces the whole sequence.
+  // Select each phi's incoming value for this predecessor. Phis read them
+  // all before writing any; a missing entry traps before any write, so the
+  // trap stub replaces the whole sequence.
   Moves.clear();
   for (unsigned I = 0; I < NPhis; ++I) {
     const Instruction &Phi = S->Insts[I];
@@ -456,7 +474,7 @@ uint32_t Predecoder::emitEdge(const Function &F, BlockId Pred, BlockId Succ) {
   };
   // Read-all-then-write-all through scratch slots past the register file.
   // Exact for every case including duplicate destinations (last write wins
-  // in phi order, like the legacy PhiVals replay).
+  // in phi order).
   auto twoPhase = [&](const std::vector<std::pair<Reg, Reg>> &M) {
     for (size_t K = 0; K < M.size(); ++K)
       emitMove(Reg(F.numRegs() + K), M[K].second);
@@ -543,6 +561,24 @@ bool cmpF(Opcode Op, double A, double B) {
   }
 }
 
+/// The unfused first half of a superinstruction.
+POp firstHalf(POp Op) {
+  switch (Op) {
+  case POp::FuseAddLoad:
+    return POp::AddI;
+  case POp::FuseMulAddI:
+    return POp::MulI;
+  case POp::FuseMulAddF:
+    return POp::MulF;
+  case POp::FuseCmpCbrI:
+    return POp::CmpI;
+  case POp::FuseCmpCbrF:
+    return POp::CmpF;
+  default:
+    return Op;
+  }
+}
+
 template <bool Profiling>
 ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
                    MemoryImage &Mem, const ExecLimits &Limits,
@@ -593,8 +629,8 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
 
   // Fold each fully executed block's static opcode histogram and weight,
   // scaled by its entry count, into R. With the DynOps formulas below this
-  // reconstructs the legacy engine's exact counters without any
-  // per-instruction bookkeeping on the fast path.
+  // reconstructs exact per-instruction counters without any per-instruction
+  // bookkeeping on the fast path.
   auto addBlockCounts = [&]() {
     for (uint32_t B = 0; B < BF.NumBlocks; ++B) {
       uint64_t E = Entries[B];
@@ -608,20 +644,21 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
     }
   };
 
-  // A behavioral trap (memory, arithmetic) cuts the current block short:
-  // take back the pre-counted tail after the trapping instruction.
+  // A trap inside a block (memory, arithmetic, fuel) cuts it short: the
+  // trapping instruction counts, the pre-counted tail after it is taken
+  // back.
   auto behavioralTrap = [&](TrapKind Kind, std::string Why, const PInst *Q,
-                            unsigned OrigIdx, Opcode OrigOp) -> ExecResult & {
+                            unsigned OrigIdx) -> ExecResult & {
     const PBlockInfo &Info = PB[Q->Blk];
     const BasicBlock *OB = F.block(Info.OrigId);
-    R.DynOps = (Clamp - uint64_t(Residual)) - Info.Ops + Q->OpsInto;
+    R.DynOps = (Clamp - uint64_t(Residual)) - Info.Ops +
+               (OrigIdx - Info.FirstNonPhi + 1);
     addBlockCounts();
     for (uint32_t I = OrigIdx + 1; I < Info.ExecLen; ++I) {
       Opcode Op = OB->Insts[I].Op;
       --R.OpCounts[unsigned(Op)];
       R.WeightedCost -= opcodeCost(Op);
     }
-    (void)OrigOp;
     R.Trapped = true;
     R.Kind = Kind;
     R.TrapBlock = OB->label();
@@ -630,6 +667,32 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
         Why + strprintf(" (in @%s, block ^%s, inst %u)", F.name().c_str(),
                         OB->label().c_str(), OrigIdx);
     return R;
+  };
+
+  // The fuel limit falls inside the block entered at \p Entry: its first
+  // \p Left counted operations run, and the next one counts and traps.
+  // Returns a scratch copy of the block's code cut at that instruction — a
+  // fused pair straddling the cut replaced by its first half — and ended
+  // by TrapFuel, for the dispatch loop to run in place of the block.
+  auto fuelCrossingCopy = [&](const PInst *Entry, uint64_t Left) {
+    const PInst *Body = Entry + 1;
+    uint32_t Cut = PB[Entry->A].FirstNonPhi + uint32_t(Left);
+    size_t N = 0;
+    while (Body[N].InstIdx + (firstHalf(Body[N].Op) != Body[N].Op) < Cut)
+      ++N;
+    PInst *Copy = Scratch.allocArray<PInst>(N + 2);
+    std::copy(Body, Body + N, Copy);
+    PInst *T = Copy + N;
+    if (Body[N].InstIdx < Cut) {
+      *T = Body[N];
+      T->Op = firstHalf(T->Op);
+      ++T;
+    }
+    *T = PInst{};
+    T->Op = POp::TrapFuel;
+    T->Blk = Entry->A;
+    T->InstIdx = Cut;
+    return static_cast<const PInst *>(Copy);
   };
 
 // One profiling tick for an original instruction, attributed to the
@@ -658,24 +721,16 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
 #endif
 
   VM_CASE(BlockEntry) {
-    const PBlockInfo &Info = PB[p->A];
     if constexpr (Profiling)
-      Prof->enterBlock(Info.OrigId);
+      Prof->enterBlock(PB[p->A].OrigId);
     ++Entries[p->A];
     Residual -= p->Imm;
     if (EPRE_UNLIKELY(Residual < 0)) {
-      // This block may cross the fuel limit: give it back and replay it on
-      // the legacy core, whose per-instruction check pins the exact trap
-      // instruction. The block's terminator necessarily crosses the limit,
-      // so control cannot leave the block — the core finishes the run.
-      --Entries[p->A];
-      Residual += p->Imm;
-      R.DynOps = Clamp - uint64_t(Residual);
-      addBlockCounts();
-      detail::interpretCore<Profiling>(F, Regs, Mem, Clamp, Prof, R,
-                                       Info.OrigId, InvalidBlock,
-                                       /*SkipEntryPhis=*/true);
-      return R;
+      // The fuel limit falls inside this block. Its terminator is past the
+      // limit, so control cannot leave it: run the cut copy, which ends
+      // the run with a trap (fuel, or an earlier behavioral one).
+      p = fuelCrossingCopy(p, uint64_t(Residual + p->Imm));
+      VM_NEXT();
     }
     ++p;
     VM_NEXT();
@@ -695,7 +750,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
   VM_CASE(TrapMissingPhi) {
     const PBlockInfo &SB = PB[p->A];
     if constexpr (Profiling)
-      Prof->enterBlock(SB.OrigId); // legacy enters the block, then traps
+      Prof->enterBlock(SB.OrigId); // the block is entered, then traps
     const BasicBlock *OB = F.block(SB.OrigId);
     R.DynOps = Clamp - uint64_t(Residual);
     addBlockCounts();
@@ -718,6 +773,22 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
         strprintf("branch to erased block b%u", unsigned(p->Imm)) +
         strprintf(" (in @%s)", F.name().c_str());
     return R;
+  }
+
+  VM_CASE(TrapFuel) {
+    const Instruction &I = F.block(PB[p->Blk].OrigId)->Insts[p->InstIdx];
+    VM_PROF(I.Op, I.Ty);
+    return behavioralTrap(TrapKind::FuelExhausted, "operation limit exceeded",
+                          p, p->InstIdx);
+  }
+
+  VM_CASE(TrapArith) {
+    const Instruction &I = F.block(PB[p->Blk].OrigId)->Insts[p->InstIdx];
+    VM_PROF(I.Op, I.Ty);
+    return behavioralTrap(TrapKind::ArithmeticTrap,
+                          std::string("arithmetic trap in ") +
+                              opcodeName(I.Op),
+                          p, p->InstIdx);
   }
 
   VM_CASE(LoadImmI) {
@@ -750,7 +821,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::MemoryOutOfBounds,
                             strprintf("load out of bounds at address %lld",
                                       (long long)Addr),
-                            p, p->InstIdx, Opcode::Load);
+                            p, p->InstIdx);
     Regs[p->Dst] = p->Ty == Type::F64 ? RtValue::ofF(Mem.loadF64(Addr))
                                       : RtValue::ofI(Mem.loadI64(Addr));
     ++p;
@@ -764,7 +835,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::MemoryOutOfBounds,
                             strprintf("store out of bounds at address %lld",
                                       (long long)Addr),
-                            p, p->InstIdx, Opcode::Store);
+                            p, p->InstIdx);
     const RtValue &V = Regs[p->B];
     if (V.Ty == Type::F64)
       Mem.storeF64(Addr, V.F);
@@ -805,7 +876,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::ArithmeticTrap,
                             std::string("arithmetic trap in ") +
                                 opcodeName(Opcode::Div),
-                            p, p->InstIdx, Opcode::Div);
+                            p, p->InstIdx);
     Regs[p->Dst] = RtValue::ofI(A / B);
     ++p;
     VM_NEXT();
@@ -818,7 +889,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::ArithmeticTrap,
                             std::string("arithmetic trap in ") +
                                 opcodeName(Opcode::Mod),
-                            p, p->InstIdx, Opcode::Mod);
+                            p, p->InstIdx);
     Regs[p->Dst] = RtValue::ofI(A % B);
     ++p;
     VM_NEXT();
@@ -971,7 +1042,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::ArithmeticTrap,
                             std::string("arithmetic trap in ") +
                                 opcodeName(Opcode::F2I),
-                            p, p->InstIdx, Opcode::F2I);
+                            p, p->InstIdx);
     Regs[p->Dst] = RtValue::ofI(int64_t(V));
     ++p;
     VM_NEXT();
@@ -987,7 +1058,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::ArithmeticTrap,
                             std::string("arithmetic trap in ") +
                                 opcodeName(Opcode::Call),
-                            p, p->InstIdx, Opcode::Call);
+                            p, p->InstIdx);
     Regs[p->Dst] = Out;
     ++p;
     VM_NEXT();
@@ -1031,7 +1102,7 @@ ExecResult runImpl(const BytecodeFunction &BF, const std::vector<RtValue> &Args,
       return behavioralTrap(TrapKind::MemoryOutOfBounds,
                             strprintf("load out of bounds at address %lld",
                                       (long long)Addr),
-                            p, p->InstIdx2, Opcode::Load);
+                            p, p->InstIdx + 1);
     Regs[p->Dst2] = p->Ty == Type::F64 ? RtValue::ofF(Mem.loadF64(Addr))
                                        : RtValue::ofI(Mem.loadI64(Addr));
     ++p;

@@ -1,10 +1,10 @@
-//===- interp/Predecode.h - Predecoded bytecode interpreter ------*- C++ -*-===//
+//===- interp/Predecode.h - Predecoded bytecode interpreter -----*- C++ -*-===//
 ///
 /// \file
-/// One-pass translation of a verified Function into a flat, contiguous
-/// bytecode array executed by a direct-threaded dispatch loop (see
-/// docs/interpreter.md). Predecoding resolves everything the tree-walking
-/// interpreter re-derives on every executed instruction:
+/// One-pass translation of a Function into a flat, contiguous bytecode
+/// array executed by a direct-threaded dispatch loop (see
+/// docs/interpreter.md). Predecoding resolves everything a tree-walking
+/// interpreter would re-derive on every executed instruction:
 ///
 ///  - operands become register-file slots read directly (no operand
 ///    vector is built per instruction);
@@ -17,20 +17,17 @@
 ///    (address arithmetic feeding a load, compare feeding a conditional
 ///    branch, multiply feeding an add) are fused into superinstructions;
 ///  - the per-instruction fuel check is hoisted to a per-block
-///    residual-fuel decrement; a block that might cross the limit is
-///    re-executed instruction-by-instruction by the legacy core, which
-///    reproduces the exact trap instruction and counts.
+///    residual-fuel decrement. The one block that crosses the limit is
+///    replayed through the same dispatch loop from a scratch copy cut at
+///    the crossing instruction, which ends in a TrapFuel op; exact trap
+///    location and counts follow from the same arithmetic as every other
+///    trap.
 ///
-/// The engine is observationally bit-identical to interpretLegacy(): same
-/// return value, memory image, DynOps, per-opcode OpCounts, WeightedCost,
-/// trap kind, trap location, trap message, and (when profiling) the same
-/// FunctionProfile. The differential identity suite in
-/// tests/predecode_test.cpp enforces this.
-///
-/// Functions whose shape the predecoder does not support (no terminator at
-/// block end, phis after the first non-phi, out-of-range operands — all
-/// verifier-rejected) fail predecode(); interpret() falls back to the
-/// legacy engine for them, keeping its behaviour universal.
+/// predecode() accepts every function verifyFunction() accepts. The shapes
+/// it refuses (no entry block, a block without a terminator, a phi after a
+/// non-phi, out-of-range registers or successors, wrong operand or
+/// successor counts) are all verifier-rejected; refusal() names the shape
+/// and interpret() reports it as a TrapKind::MalformedIR trap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +38,7 @@
 #include "support/Arena.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace epre {
@@ -57,6 +55,8 @@ namespace epre {
   X(PhiMove)        /* Dst <- A, uncounted phi-edge parallel-copy move */      \
   X(TrapMissingPhi) /* A=succ pblock; B=phi index */                           \
   X(TrapErased)     /* Imm=raw erased BlockId */                               \
+  X(TrapFuel)       /* Blk/InstIdx: counted, then traps on fuel */             \
+  X(TrapArith)      /* Blk/InstIdx: always-trapping op (f64 integer op) */     \
   X(LoadImmI)       /* Dst <- Imm */                                           \
   X(LoadImmF)       /* Dst <- bit_cast<double>(Imm) */                         \
   X(CopyI)          /* Dst <- A (counted register copy) */                     \
@@ -84,26 +84,25 @@ enum class POp : uint8_t {
 #undef EPRE_POP_ENUM
 };
 
-/// One fixed-width predecoded instruction (64-byte cache-line friendly).
-/// Field meaning is per-POp; see EPRE_POP_LIST comments. Trap bookkeeping
-/// (Blk, InstIdx*, OpsInto) lets every exit path reconstruct the exact
-/// legacy DynOps/OpCounts without per-instruction counters.
+/// One fixed-width predecoded instruction. Field meaning is per-POp; see
+/// EPRE_POP_LIST comments. Trap bookkeeping (Blk, InstIdx) lets every exit
+/// path reconstruct the exact DynOps/OpCounts without per-instruction
+/// counters: a fused pair's second instruction is always InstIdx + 1, and
+/// the counted operations through instruction I of a block are
+/// I - FirstNonPhi + 1.
 struct PInst {
   POp Op = POp::Jump;
   uint8_t Sub = 0;     ///< cmp Opcode byte or Intrinsic byte
   Type Ty = Type::I64; ///< value type of the (second, if fused) operation
   uint8_t Flags = 0;
-  uint8_t OrigOp = 0;  ///< original Opcode byte (profiling class/cost, traps)
-  uint8_t OrigOp2 = 0; ///< fused second original Opcode byte
-  uint16_t InstIdx = 0;  ///< original instruction index of the (first) op
-  uint16_t InstIdx2 = 0; ///< original index of the fused second op
-  uint16_t Blk = 0;      ///< owning predecoded block index
-  uint32_t OpsInto = 0;  ///< counted ops through this instruction in its block
+  uint32_t InstIdx = 0; ///< original instruction index of the (first) op
+  uint32_t Blk = 0;     ///< owning predecoded block index
   uint32_t Dst = 0, A = 0, B = 0, Dst2 = 0;
   uint32_t X = 0, Y = 0; ///< branch targets' original BlockIds
   int64_t Imm = 0;       ///< immediate bits / taken-target pc / block ops
   int64_t Imm2 = 0;      ///< not-taken-target pc
 };
+static_assert(sizeof(PInst) == 56, "PInst layout grew");
 
 /// Per-block predecode metadata, indexed by dense predecoded block index.
 struct PBlockInfo {
@@ -117,7 +116,7 @@ struct PBlockInfo {
 
 /// A predecoded function: flat code array plus block metadata, all backed
 /// by the Arena handed to Predecoder::predecode. Holds a pointer to the
-/// source Function (labels, careful-mode re-execution, count assembly), so
+/// source Function (labels, trap attribution, count assembly), so
 /// it is valid only while that Function is alive and unmodified.
 class BytecodeFunction {
 public:
@@ -140,9 +139,17 @@ public:
 class Predecoder {
 public:
   /// Predecodes \p F into \p Out with storage from \p A. Returns false —
-  /// leaving \p Out invalid — when the function's shape is unsupported
-  /// (see file comment); callers fall back to interpretLegacy().
+  /// leaving \p Out invalid and refusal() describing why — only for shapes
+  /// the verifier rejects (see file comment).
   bool predecode(const Function &F, Arena &A, BytecodeFunction &Out);
+
+  /// Why the last predecode() returned false.
+  struct Refusal {
+    std::string Shape;                 ///< the refused shape, in words
+    const BasicBlock *Block = nullptr; ///< where, for block-local shapes
+    unsigned Inst = 0;                 ///< instruction index within Block
+  };
+  const Refusal &refusal() const { return Refused; }
 
 private:
   struct Fixup {
@@ -159,15 +166,19 @@ private:
 
   uint32_t MaxPhis = 0;
   uint32_t Fused = 0;
+  Refusal Refused;
+
+  bool refuse(std::string Shape, const BasicBlock *B = nullptr,
+              unsigned Inst = 0);
 
   bool emitFunction(const Function &F);
   bool emitBlock(const Function &F, const BasicBlock &B, uint32_t PB);
   uint32_t emitEdge(const Function &F, BlockId Pred, BlockId Succ);
 };
 
-/// Executes predecoded bytecode. Exactly interpretLegacy()'s observable
-/// behaviour (see file comment). \p Scratch provides the register file and
-/// per-block counters; it is reset by the call — so it must not be the
+/// Executes predecoded bytecode (interpret()'s engine; see file comment).
+/// \p Scratch provides the register file, per-block counters and the
+/// fuel-crossing block copy; it is reset by the call — so it must not be the
 /// arena holding \p BF's storage — and reusing one scratch arena across
 /// runs keeps the campaign inner loop off the general heap.
 ExecResult executeBytecode(const BytecodeFunction &BF,

@@ -164,7 +164,13 @@ private:
       break;
     }
 
-    // Successor references.
+    // Successor count and references.
+    size_t WantSuccs = I.Op == Opcode::Br ? 1 : 2;
+    if ((I.Op == Opcode::Br || I.Op == Opcode::Cbr) &&
+        I.Succs.size() != WantSuccs)
+      error(strprintf("block ^%s: %s expects %zu successors, has %zu",
+                      B.label().c_str(), opcodeName(I.Op), WantSuccs,
+                      I.Succs.size()));
     for (BlockId S : I.Succs)
       if (S >= F.numBlocks() || !F.block(S))
         error(strprintf("block ^%s: branch to dead block %u",

@@ -306,7 +306,7 @@ void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
 void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
                       const PipelineOptions &Opts, PassContext &Ctx,
                       PassGate &Gate) {
-  PREPass P(Opts.Strategy, Opts.Solver);
+  PREPass P(Opts.Strategy);
   for (unsigned Round = 0; Round < 16; ++Round) {
     if (!Gate.admit("pre"))
       break;

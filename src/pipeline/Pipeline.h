@@ -1,4 +1,4 @@
-//===- pipeline/Pipeline.h - The paper's optimization levels -----*- C++ -*-===//
+//===- pipeline/Pipeline.h - The paper's optimization levels ----*- C++ -*-===//
 ///
 /// \file
 /// Assembles the passes into the four optimization levels measured in
@@ -105,9 +105,6 @@ struct PipelineOptions {
   /// Run loop strength reduction (the paper's other "missing pass") after
   /// PRE, before the baseline tail.
   bool EnableStrengthReduction = false;
-  /// Which dataflow solver PRE's AVAIL/ANT fixpoints run on. RoundRobin is
-  /// the pre-change reference, kept for equivalence tests and benchmarks.
-  DataflowSolverKind Solver = DataflowSolverKind::Worklist;
   /// Run the IR verifier after every pass (aborts on breakage).
   bool Verify = true;
   /// Force every analysis lookup to recompute (differential testing of the

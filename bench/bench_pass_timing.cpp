@@ -201,7 +201,7 @@ void BM_Liveness(benchmark::State &State) {
   BitDataflowProblem P;
   P.Dir = DataflowDirection::Backward;
   P.Meet = MeetOp::Union;
-  P.NumBits = unsigned(F.numRegs());
+  P.NumBits = L.numGlobals();
   // Same Gen/Kill posing as Liveness::compute itself, minus the (empty)
   // phi seed.
   std::vector<BitVector> Gen, Kill;
@@ -283,10 +283,13 @@ void BM_PipelineEndToEnd(benchmark::State &State) {
     optimizeFunction(*M->Functions[0], PO);
   }
 }
+// Arg 512 anchors the compile-time slope gate in scripts/bench.sh (log-log
+// slope from Arg 128 to Arg 512).
 BENCHMARK(BM_PipelineEndToEnd)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 /// The same run with timers + stats + remarks collection attached: the

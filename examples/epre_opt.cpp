@@ -380,6 +380,15 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "parse error: %s\n", R.Error.c_str());
     return 1;
   }
+  // Passes, the profiler and remarks assume well-formed IR (a block without
+  // a terminator crashes the first pass): refuse malformed input up front.
+  std::vector<std::string> Problems = verifyModule(*R.M);
+  if (!Problems.empty()) {
+    for (const std::string &Msg : Problems)
+      std::fprintf(stderr, "verify: %s\n", Msg.c_str());
+    std::fprintf(stderr, "error: input does not verify; no pass was run\n");
+    return 1;
+  }
 
   InstrumentationOptions IO;
   IO.TimePasses = TimePasses || !TraceOut.empty();

@@ -62,6 +62,31 @@ if grep -q '"library_build_type": "debug"' "$TMP_OUT" &&
   refuse "google-benchmark reports a debug build"
 fi
 
+# Compile-time scaling gate: the log-log slope of BM_PipelineEndToEnd real
+# time from Arg 128 to Arg 512 loop nests (1 = linear, 2 = quadratic). A
+# slope holds across hosts, unlike absolute milliseconds. The bound is a
+# constant: 1.30, the slope measured when the baseline tail (sccp, dce,
+# coalesce) became linear, plus 0.1; republishing cannot move it. Most of
+# the growth left is gvn and pre. A run without both rows (e.g. a
+# --benchmark_filter run) cannot be checked and is refused as well.
+COMPILE_SLOPE_MAX=1.40
+COMPILE_SLOPE=$(awk '
+  /"name": "BM_PipelineEndToEnd\/128"/ { want = 1 }
+  /"name": "BM_PipelineEndToEnd\/512"/ { want = 2 }
+  /"real_time":/ && want {
+    gsub(/[^0-9.eE+-]/, "", $2)
+    if (want == 1) small = $2; else big = $2
+    want = 0
+  }
+  END {
+    if (small == "" || big == "" || small + 0 == 0) { print "nan"; exit }
+    printf "%.3f", log(big / small) / log(4)
+  }' "$TMP_OUT")
+echo "BM_PipelineEndToEnd slope 128 -> 512: ${COMPILE_SLOPE} (gate: <= ${COMPILE_SLOPE_MAX})"
+awk -v s="$COMPILE_SLOPE" -v max="$COMPILE_SLOPE_MAX" \
+  'BEGIN { exit !(s != "nan" && s + 0 > 0 && s + 0 <= max + 0) }' ||
+  refuse "BM_PipelineEndToEnd slope from Arg 128 to 512 is ${COMPILE_SLOPE}, over ${COMPILE_SLOPE_MAX}"
+
 mv "$TMP_OUT" "$OUT"
 trap - EXIT
 echo "wrote $OUT"

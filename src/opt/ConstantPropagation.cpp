@@ -7,18 +7,24 @@
 /// analysis (Wegman–Zadeck style conditional propagation, formulated without
 /// requiring SSA form).
 ///
+/// A block's input row holds only the registers live into it (phi operands
+/// counted as read at the phi's block, PhiOperandSite::PhiBlockEntry): any
+/// other register the block reads is written earlier in the block, and any
+/// value it passes to a successor's row is live out of it. The lattice is
+/// therefore sum-of-live-ins slots, not blocks x cross-block registers.
+///
 //===----------------------------------------------------------------------===//
 
 #include "opt/ConstantPropagation.h"
 
 #include "analysis/AnalysisManager.h"
+#include "analysis/Liveness.h"
 #include "ir/Eval.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -64,90 +70,69 @@ class SCCP {
 public:
   explicit SCCP(Function &F) : F(F) {}
 
-  bool run() {
+  bool run(const CFG &G) {
     unsigned NB = F.numBlocks();
-    unsigned NR = F.numRegs();
-    // Per-block rows hold only the registers whose values cross a block
-    // boundary; everything else is block-local by construction and lives
-    // in the shared scratch row. This keeps the lattice NB x NG instead of
-    // NB x NR (NG is typically a small fraction of NR once forward
-    // propagation has localized expression evaluation).
-    computeGlobals();
-    In.assign(NB, LatticeRow(GlobalRegs.size()));
-    Scratch.assign(NR, LatVal::top());
+    layoutRows(G);
+    Scratch.assign(F.numRegs(), LatVal::top());
     BlockExec.assign(NB, false);
+    InWorklist.assign(NB, 0);
 
-    // Entry: parameters are runtime inputs. A parameter that never
-    // crosses a block boundary unread has no row slot and needs none.
-    for (Reg P : F.params())
-      if (GIdx[P] != NoIdx)
-        In[0][GIdx[P]] = LatVal::bottom();
+    // Entry: parameters are runtime inputs. A parameter not live into the
+    // entry block is written before every read and needs no slot.
+    for (unsigned Slot = RowStart[0]; Slot < RowStart[1]; ++Slot)
+      if (F.isParam(RowRegs[Slot]))
+        RowVals[Slot] = LatVal::bottom();
 
     BlockExec[0] = true;
-    Worklist.push_back(0);
+    enqueue(0);
     while (!Worklist.empty()) {
       BlockId B = Worklist.front();
       Worklist.pop_front();
-      InWorklist.erase(B);
+      InWorklist[B] = 0;
       processBlock(B);
     }
     return rewrite();
   }
 
-private:
-  static constexpr unsigned NoIdx = ~0u;
+  /// Total lattice slots over all block rows (the sccp.lattice_slots stat).
+  size_t latticeSlots() const { return RowRegs.size(); }
 
-  /// A register is "global" when some block reads it without a preceding
-  /// definition in that block (phi inputs always qualify: they are read on
-  /// entry). Only globals need per-block lattice slots.
-  void computeGlobals() {
-    unsigned NR = F.numRegs();
-    GIdx.assign(NR, NoIdx);
-    GlobalRegs.clear();
-    auto markGlobal = [&](Reg R) {
-      if (GIdx[R] == NoIdx) {
-        GIdx[R] = unsigned(GlobalRegs.size());
-        GlobalRegs.push_back(R);
-      }
-    };
-    for (Reg P : F.params())
-      markGlobal(P);
-    std::vector<uint32_t> DefStamp(NR, 0);
-    uint32_t BlockStamp = 0;
-    F.forEachBlock([&](const BasicBlock &B) {
-      ++BlockStamp;
-      for (const Instruction &I : B.Insts) {
-        if (I.isPhi()) {
-          for (Reg Op : I.Operands)
-            markGlobal(Op);
-        } else {
-          for (Reg Op : I.Operands)
-            if (DefStamp[Op] != BlockStamp)
-              markGlobal(Op);
-        }
-        if (I.hasDst())
-          DefStamp[I.Dst] = BlockStamp;
-      }
-    });
+private:
+  /// Block B's row is RowRegs/RowVals[RowStart[B], RowStart[B + 1]): the
+  /// registers live into B with phi operands read at B's entry, which are
+  /// exactly the registers whose incoming values B can observe.
+  void layoutRows(const CFG &G) {
+    Liveness Live = Liveness::compute(F, G, PhiOperandSite::PhiBlockEntry);
+    unsigned NB = F.numBlocks();
+    RowStart.assign(NB + 1, 0);
+    RowRegs.clear();
+    for (BlockId B = 0; B < NB; ++B) {
+      RowStart[B] = unsigned(RowRegs.size());
+      Live.forEachLiveIn(B, [&](Reg R) { RowRegs.push_back(R); });
+    }
+    RowStart[NB] = unsigned(RowRegs.size());
+    RowVals.assign(RowRegs.size(), LatVal::top());
   }
 
-  /// Loads block \p B's In row (globals only) into the scratch value map.
-  /// Block-local registers keep stale values from earlier blocks, which is
-  /// safe: a local is always written before it is read within a block.
+  /// Loads block \p B's In row into the scratch value map. Every other
+  /// register keeps a stale value from an earlier block, which is safe:
+  /// the block writes it before reading it, and it is dead on exit unless
+  /// written here.
   void loadEntry(BlockId B) {
-    const LatticeRow &Entry = In[B];
-    for (unsigned GI = 0; GI < GlobalRegs.size(); ++GI)
-      Scratch[GlobalRegs[GI]] = Entry[GI];
+    for (unsigned Slot = RowStart[B]; Slot < RowStart[B + 1]; ++Slot)
+      Scratch[RowRegs[Slot]] = RowVals[Slot];
   }
 
   void enqueue(BlockId B) {
-    if (InWorklist.insert(B).second)
+    if (!InWorklist[B]) {
+      InWorklist[B] = 1;
       Worklist.push_back(B);
+    }
   }
 
   /// Evaluates one instruction given the running value map; returns the
   /// value produced for its destination (if any).
-  LatVal evalInst(const Instruction &I, const LatticeRow &Vals) const {
+  LatVal evalInst(const Instruction &I, const LatticeRow &Vals) {
     if (I.Op == Opcode::Load)
       return LatVal::bottom();
     if (I.isPhi()) {
@@ -162,18 +147,17 @@ private:
       return Vals[I.Operands[0]];
     if (!I.isExpression())
       return LatVal::bottom();
-    std::vector<RtValue> Ops;
-    Ops.reserve(I.Operands.size());
+    OpVals.clear();
     for (Reg R : I.Operands) {
       const LatVal &L = Vals[R];
       if (L.K == LatVal::Top)
         return LatVal::top();
       if (L.K == LatVal::Bottom)
         return LatVal::bottom();
-      Ops.push_back(L.V);
+      OpVals.push_back(L.V);
     }
     RtValue Out;
-    if (!evalPure(I, Ops, Out))
+    if (!evalPure(I, OpVals, Out))
       return LatVal::bottom();
     return LatVal::constant(Out);
   }
@@ -221,9 +205,8 @@ private:
       BlockId S = ExecSuccs[E];
       bool Changed = !BlockExec[S];
       BlockExec[S] = true;
-      LatticeRow &SIn = In[S];
-      for (unsigned GI = 0; GI < SIn.size(); ++GI)
-        if (SIn[GI].meet(Scratch[GlobalRegs[GI]]))
+      for (unsigned Slot = RowStart[S]; Slot < RowStart[S + 1]; ++Slot)
+        if (RowVals[Slot].meet(Scratch[RowRegs[Slot]]))
           Changed = true;
       if (Changed)
         enqueue(S);
@@ -316,14 +299,15 @@ private:
   }
 
   Function &F;
-  std::vector<LatticeRow> In;       ///< per block, indexed by global slot
-  std::vector<Reg> GlobalRegs;      ///< global slot -> register
-  std::vector<unsigned> GIdx;       ///< register -> global slot or NoIdx
+  std::vector<unsigned> RowStart;   ///< per block (+1 sentinel): first slot
+  std::vector<Reg> RowRegs;         ///< slot -> register
+  LatticeRow RowVals;               ///< slot -> block-entry value
   LatticeRow Scratch;               ///< running value map, indexed by Reg
   std::vector<LatVal> PhiVals;      ///< parallel-phi evaluation buffer
+  std::vector<RtValue> OpVals;      ///< evalInst operand buffer
   std::vector<bool> BlockExec;
   std::deque<BlockId> Worklist;
-  std::set<BlockId> InWorklist;
+  std::vector<uint8_t> InWorklist;  ///< per block: queued in Worklist
 
 public:
   /// Set by rewrite() when a cbr was folded to br (a CFG edge died).
@@ -342,7 +326,8 @@ PreservedAnalyses epre::SCCPPass::run(Function &F,
   PassScope Scope(Ctx, name(), F);
   SCCP S(F);
   S.Ctx = &Ctx;
-  bool Changed = S.run();
+  bool Changed = S.run(AM.cfg());
+  Ctx.addStat("lattice_slots", S.latticeSlots());
   Ctx.addStat("folds", S.Folds);
   Ctx.addStat("branches_folded", S.BranchFolds);
   Ctx.addStat("changed", Changed);

@@ -6,7 +6,6 @@
 #include "analysis/Liveness.h"
 #include "support/BitVector.h"
 
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -82,6 +81,10 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
   // serves every liveness round.
   const CFG &G = AM.cfg();
   std::vector<Instruction> Kept; // reused across blocks to recycle capacity
+  // Running live set of the backward walk, indexed by register. All zero
+  // between blocks: each block clears exactly the bits it set, so a round
+  // costs O(instructions + live-out sizes), not blocks x registers.
+  BitVector LiveNow(F.numRegs());
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -93,7 +96,7 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
       // Walk backwards with a running live set. A phi's operands are uses
       // in the *predecessors*, not here, but adding them to the local live
       // set is merely conservative; the next liveness round is exact.
-      BitVector LiveNow = Live.liveOut(B.id());
+      Live.forEachLiveOut(B.id(), [&](Reg R) { LiveNow.set(R); });
       Kept.clear();
       for (auto It = B.Insts.rbegin(); It != B.Insts.rend(); ++It) {
         Instruction &I = *It;
@@ -113,6 +116,11 @@ bool eliminateDeadCodeImpl(Function &F, FunctionAnalysisManager &AM,
       // Instructions were moved into Kept; always write them back.
       B.Insts.assign(std::make_move_iterator(Kept.rbegin()),
                      std::make_move_iterator(Kept.rend()));
+      // Every bit still set is a live-out register or a kept operand.
+      Live.forEachLiveOut(B.id(), [&](Reg R) { LiveNow.reset(R); });
+      for (const Instruction &I : B.Insts)
+        for (Reg R : I.Operands)
+          LiveNow.reset(R);
     });
     EverChanged |= Changed;
   }

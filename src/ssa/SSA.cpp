@@ -80,16 +80,15 @@ private:
   /// so renaming always finds a reaching definition.
   void insertEntryInits() {
     Liveness L0 = Liveness::compute(F, *G);
-    const BitVector &EntryLive = L0.liveIn(0);
     std::vector<Instruction> Inits;
-    for (int R = EntryLive.findFirst(); R != -1; R = EntryLive.findNext(R)) {
-      if (F.isParam(Reg(R)))
-        continue;
-      if (F.regType(Reg(R)) == Type::F64)
-        Inits.push_back(Instruction::makeLoadF(Reg(R), 0.0));
+    L0.forEachLiveIn(0, [&](Reg R) {
+      if (F.isParam(R))
+        return;
+      if (F.regType(R) == Type::F64)
+        Inits.push_back(Instruction::makeLoadF(R, 0.0));
       else
-        Inits.push_back(Instruction::makeLoadI(Reg(R), 0));
-    }
+        Inits.push_back(Instruction::makeLoadI(R, 0));
+    });
     BasicBlock *Entry = F.entry();
     Entry->Insts.insert(Entry->Insts.begin(), Inits.begin(), Inits.end());
   }
@@ -285,7 +284,7 @@ void destroySSAImpl(Function &F, FunctionAnalysisManager &AM) {
       if (T == S)
         continue;
       for (const PendingCopy &C : Items)
-        if (Live.liveIn(T).test(C.Dst))
+        if (Live.isLiveIn(C.Dst, T))
           return false;
     }
     return true;

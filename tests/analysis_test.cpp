@@ -144,11 +144,17 @@ func @f(%a:i64) -> i64 {
   Function &F = *M->Functions[0];
   CFG G = CFG::compute(F);
   Liveness L = Liveness::compute(F, G);
-  // Only the parameter is live into the entry block.
-  const BitVector &In = L.liveIn(0);
-  EXPECT_TRUE(In.test(F.params()[0]));
-  EXPECT_EQ(In.count(), 1u);
-  EXPECT_TRUE(L.liveOut(0).none());
+  // Only the parameter is live into the entry block; it is also the only
+  // register read before a definition, so the universe is just it.
+  std::vector<Reg> In;
+  L.forEachLiveIn(0, [&](Reg R) { In.push_back(R); });
+  EXPECT_EQ(In, std::vector<Reg>{F.params()[0]});
+  EXPECT_EQ(L.globals(), std::vector<Reg>{F.params()[0]});
+  L.forEachLiveOut(0, [](Reg R) { ADD_FAILURE() << "r" << R << " live out"; });
+  // Block-local registers are outside the universe and never live.
+  Reg C = F.entry()->Insts[1].Dst;
+  EXPECT_FALSE(L.isLiveIn(C, 0));
+  EXPECT_FALSE(L.isLiveOut(C, 0));
 }
 
 TEST(Liveness, AcrossBranchAndPhi) {
@@ -178,8 +184,44 @@ func @f(%p:i64, %x:i64, %y:i64) -> i64 {
   // Phi inputs are live out of their predecessor, not live into the join.
   const BasicBlock *A = F.block(1);
   Reg U = A->Insts[0].Dst;
-  EXPECT_TRUE(L.liveOut(1).test(U));
-  EXPECT_FALSE(L.liveIn(3).test(U));
+  EXPECT_TRUE(L.isLiveOut(U, 1));
+  EXPECT_FALSE(L.isLiveIn(U, 3));
+  // Counted at the phi's block instead, u is live into the join and so out
+  // of both arms.
+  Liveness E = Liveness::compute(F, G, PhiOperandSite::PhiBlockEntry);
+  EXPECT_TRUE(E.isLiveIn(U, 3));
+  EXPECT_TRUE(E.isLiveOut(U, 2));
+}
+
+/// Phis read their operands in parallel: in the swap shape, %a is an
+/// operand of the second phi although the first phi defines it. Read at the
+/// phi's block, both are live into the loop; read at the predecessor's exit
+/// (the loop itself, for the back edge) neither is, and both are live out.
+TEST(Liveness, SwappedPhisReadInParallel) {
+  auto M = parse(R"(
+func @f(%x:i64, %y:i64, %n:i64) -> i64 {
+^e:
+  br ^loop
+^loop:
+  %a:i64 = phi [%x, ^e], [%b, ^loop]
+  %b:i64 = phi [%y, ^e], [%a, ^loop]
+  %c:i64 = cmplt %a, %n
+  cbr %c, ^loop, ^done
+^done:
+  ret %b
+}
+)");
+  Function &F = *M->Functions[0];
+  CFG G = CFG::compute(F);
+  Reg A = F.block(1)->Insts[0].Dst, B = F.block(1)->Insts[1].Dst;
+  Liveness AtEntry = Liveness::compute(F, G, PhiOperandSite::PhiBlockEntry);
+  EXPECT_TRUE(AtEntry.isLiveIn(A, 1));
+  EXPECT_TRUE(AtEntry.isLiveIn(B, 1));
+  Liveness AtExit = Liveness::compute(F, G);
+  EXPECT_FALSE(AtExit.isLiveIn(A, 1));
+  EXPECT_FALSE(AtExit.isLiveIn(B, 1));
+  EXPECT_TRUE(AtExit.isLiveOut(A, 1));
+  EXPECT_TRUE(AtExit.isLiveOut(B, 1));
 }
 
 TEST(EdgeSplitting, SplitsOnlyCriticalEdges) {

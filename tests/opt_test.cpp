@@ -132,6 +132,35 @@ func @f(%n:i64) -> i64 {
   EXPECT_TRUE(Folded) << printFunction(F);
 }
 
+/// A phi meets each operand's value over every executable incoming edge,
+/// so the operand must be tracked into the phi's block even where it is
+/// live only along one edge: here %x reaches ^j as 3 from ^e and as 4 from
+/// ^a, and the phi must stay (the result depends on %p).
+TEST(ConstProp, PhiOperandRedefinedOnOneEdge) {
+  auto M = parse(R"(
+func @f(%p:i64) -> i64 {
+^e:
+  %x:i64 = loadi 3
+  cbr %p, ^a, ^j
+^a:
+  %x:i64 = loadi 4
+  br ^j
+^j:
+  %w:i64 = phi [%x, ^e], [%x, ^a]
+  ret %w
+}
+)");
+  Function &F = *M->Functions[0];
+  runPass(F, SCCPPass());
+  EXPECT_EQ(countOp(F, Opcode::Phi), 1u) << printFunction(F);
+  for (int64_t P : {0, 1}) {
+    MemoryImage Mem(0);
+    ExecResult R = interpret(F, {RtValue::ofI(P)}, Mem);
+    ASSERT_TRUE(R.HasReturn);
+    EXPECT_EQ(R.ReturnValue.I, P ? 4 : 3);
+  }
+}
+
 // --- Peephole ---------------------------------------------------------------
 
 TEST(Peephole, AlgebraicIdentities) {

@@ -184,6 +184,10 @@ std::string investigate(const FuzzProgram &P, const OracleResult &OR,
   std::string Stem = Opt.OutDir + "/repro-" + P.Shape + "-" +
                      std::to_string(P.Seed);
   std::string IlocPath = Stem + ".iloc";
+  // The failing prefix as an `epre-opt -passes=` list.
+  std::string Prefix;
+  for (unsigned I = 0; B.Bisected && I < B.PrefixLength; ++I)
+    Prefix += (I ? "," : "") + B.Trace[I];
   {
     std::ofstream Out(IlocPath);
     Out << R.Text;
@@ -194,6 +198,7 @@ std::string investigate(const FuzzProgram &P, const OracleResult &OR,
         << "kind:    " << mismatchKindName(F0.Kind) << "\n"
         << "detail:  " << F0.Detail << "\n"
         << "guilty:  " << (B.Bisected ? B.GuiltyPass : "<unbisected>") << "\n"
+        << "prefix:  " << (B.Bisected ? Prefix : "<unbisected>") << "\n"
         << "seed:    " << P.Seed << " (shape " << P.Shape << ")\n"
         << "replay:  epre-fuzz -replay " << IlocPath
         << (Opt.Inject ? " -inject" : "")

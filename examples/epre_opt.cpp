@@ -5,12 +5,15 @@
 /// that filter: textual IR on stdin (or a file), a pass list on the
 /// command line, textual IR on stdout.
 ///
-///   epre_opt [FILE] -passes=ssa,fwdprop,reassoc,gvn,pre,...
+///   epre_opt [FILE] -passes=ssa.build,fwdprop,reassoc,gvn,pre,...
 ///   epre_opt [FILE] -O=distribution [-strategy=lcm] [-gvn=awz] [-j N]
 ///
-/// Passes: ssa destroyssa fwdprop negnorm reassoc distribute osr gvn dvnt
-///         simple-gvn pre pre-mr pre-spec cse constprop peephole dce
-///         coalesce simplifycfg verify
+/// Passes are the pipeline's own names, the ones -time-passes, -remarks=
+/// and -stats print (the usage text lists them), plus the `verify`
+/// pseudo-pass. Each runs exactly as the -O levels run it, from the same
+/// pass table, with its settings taken from the same flags: -strategy=
+/// picks the PRE strategy and -O=distribution makes reassoc distribute. A
+/// prefix trace bisected by epre-fuzz replays as is.
 ///
 /// Observability (both modes):
 ///   -time-passes        hierarchical wall-clock report on stderr
@@ -27,8 +30,7 @@
 ///                       block/edge profile (epre-dynamic-profile-v1 JSON)
 ///   -profile-in=FILE    attach a saved profile as the pipeline's
 ///                       profile-guided input (required by
-///                       -strategy=speculative and the pre-spec pass;
-///                       docs/speculative-pre.md)
+///                       -strategy=speculative; docs/speculative-pre.md)
 ///   -hot-remarks[=BASE] remarks sorted by dynamic impact on stderr: each
 ///                       remark is weighted by its block's execution count
 ///                       in a baseline profile (BASE, a -profile-out file;
@@ -36,39 +38,27 @@
 ///                       as its own baseline). Implies -remarks.
 ///
 /// Example:
-///   ./build/examples/epre_opt in.iloc -passes=fwdprop,reassoc,gvn,pre \
-///       -remarks=pre -time-passes
+///   ./build/examples/epre-opt in.iloc -remarks=pre -time-passes
+///       -passes=ssa.build,fwdprop,reassoc,gvn,pre
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CFG.h"
-#include "gvn/DVNT.h"
-#include "gvn/SimpleGVN.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
-#include "gvn/ValueNumbering.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "opt/ConstantPropagation.h"
-#include "opt/CopyCoalescing.h"
-#include "opt/DeadCodeElim.h"
-#include "opt/Peephole.h"
-#include "opt/SimplifyCFG.h"
-#include "opt/StrengthReduction.h"
 #include "pipeline/Pipeline.h"
-#include "pre/PRE.h"
-#include "reassoc/ForwardProp.h"
-#include "reassoc/Ranks.h"
-#include "reassoc/Reassociate.h"
-#include "ssa/SSA.h"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace epre;
@@ -92,147 +82,18 @@ std::vector<std::string> splitList(const std::string &S) {
   return Out;
 }
 
-/// Runs one named pass through the unified entry points. The reassociation
-/// family needs ranks, which must be computed in SSA form; this driver
-/// recomputes them on demand and keeps them alive across
-/// fwdprop/negnorm/reassoc/distribute.
-struct PassDriver {
-  Function &F;
-  FunctionAnalysisManager AM;
-  PassContext Ctx;
-  RankMap Ranks;
-  bool HaveRanks = false;
-
-  PassDriver(Function &F, StatsRegistry &SR, PassInstrumentation *PI,
-             const ProfileDoc *Profile = nullptr)
-      : F(F), AM(F), Ctx(&SR, PI) {
-    if (Profile)
-      AM.setProfileSource(Profile->find(F.name()));
-  }
-
-  bool run(const std::string &Name) {
-    if (Name == "ssa") {
-      SSABuildPass().run(F, AM, Ctx);
-      Ranks = RankMap::compute(F, AM.cfg());
-      HaveRanks = true;
-      return true;
-    }
-    if (Name == "destroyssa") {
-      SSADestroyPass().run(F, AM, Ctx);
-      return true;
-    }
-    if (Name == "fwdprop") {
-      if (!ensureRanks())
-        return false;
-      ForwardPropPass FP(Ranks);
-      FP.run(F, AM, Ctx);
-      const ForwardPropStats &S = FP.lastStats();
-      std::fprintf(stderr, "fwdprop: %u -> %u static ops (x%.3f)\n",
-                   S.OpsBefore, S.OpsAfter, S.expansion());
-      return true;
-    }
-    if (Name == "negnorm" || Name == "reassoc" || Name == "distribute") {
-      if (!ensureRanks())
-        return false;
-      ReassociateOptions RO;
-      RO.Distribute = Name == "distribute";
-      if (Name == "negnorm")
-        NegNormPass(Ranks, RO).run(F, AM, Ctx);
-      else
-        ReassociatePass(Ranks, RO).run(F, AM, Ctx);
-      return true;
-    }
-    if (Name == "osr") {
-      StrengthReductionPass P;
-      P.run(F, AM, Ctx);
-      const SRStats &S = P.lastStats();
-      std::fprintf(stderr, "osr: %u loops, %u basic IVs, %u reduced\n",
-                   S.LoopsVisited, S.BasicIVs, S.Reduced);
-      return true;
-    }
-    if (Name == "dvnt") {
-      DVNTPass P;
-      P.run(F, AM, Ctx);
-      const DVNTStats &S = P.lastStats();
-      std::fprintf(stderr, "dvnt: %u redundant, %u meaningless phis, "
-                   "%u duplicate phis\n",
-                   S.Redundant, S.MeaninglessPhis, S.RedundantPhis);
-      return true;
-    }
-    if (Name == "gvn") {
-      GVNPass P;
-      P.run(F, AM, Ctx);
-      const GVNStats &S = P.lastStats();
-      std::fprintf(stderr, "gvn: %u regs in %u classes, %u merged\n",
-                   S.Registers, S.Classes, S.MergedDefs);
-      return true;
-    }
-    if (Name == "simple-gvn") {
-      SimpleGVNPass P;
-      P.run(F, AM, Ctx);
-      const SimpleGVNStats &S = P.lastStats();
-      std::fprintf(stderr,
-                   "simple-gvn: %u regs in %u classes, %u merged "
-                   "(%u phi-simplified, %u phi-carried, %u detected)\n",
-                   S.Registers, S.Classes, S.MergedDefs, S.PhiSimplified,
-                   S.PhiCarried, S.PhiCarriedDetected);
-      return true;
-    }
-    if (Name == "pre" || Name == "pre-mr" || Name == "pre-spec" ||
-        Name == "cse") {
-      PREStrategy Strat = Name == "pre"      ? PREStrategy::LazyCodeMotion
-                          : Name == "pre-mr" ? PREStrategy::MorelRenvoise
-                          : Name == "pre-spec" ? PREStrategy::Speculative
-                                               : PREStrategy::GlobalCSE;
-      if (Strat == PREStrategy::Speculative && !AM.profileSource()) {
-        std::fprintf(stderr,
-                     "error: pre-spec needs a dynamic profile for this "
-                     "function; pass -profile-in=FILE\n");
-        return false;
-      }
-      PREPass P(Strat);
-      P.run(F, AM, Ctx);
-      const PREStats &S = P.lastStats();
-      std::fprintf(stderr, "%s: universe %u, +%u/-%u (%u speculated)\n",
-                   Name.c_str(), S.UniverseSize, S.Inserted, S.Deleted,
-                   S.Speculated);
-      return true;
-    }
-    if (Name == "constprop")
-      return SCCPPass().run(F, AM, Ctx), true;
-    if (Name == "peephole")
-      return PeepholePass().run(F, AM, Ctx), true;
-    if (Name == "dce")
-      return DCEPass().run(F, AM, Ctx), true;
-    if (Name == "coalesce") {
-      uint64_t Before = Ctx.stats()->get("coalesce", "copies_removed");
-      CopyCoalescingPass().run(F, AM, Ctx);
-      std::fprintf(stderr, "coalesce: removed %llu copies\n",
-                   (unsigned long long)(Ctx.stats()->get("coalesce",
-                                                         "copies_removed") -
-                                        Before));
-      return true;
-    }
-    if (Name == "simplifycfg")
-      return SimplifyCFGPass().run(F, AM, Ctx), true;
-    if (Name == "verify") {
-      std::vector<std::string> E = verifyFunction(F, SSAMode::Relaxed);
-      for (const std::string &Msg : E)
-        std::fprintf(stderr, "verify: %s\n", Msg.c_str());
-      return E.empty();
-    }
-    std::fprintf(stderr, "error: unknown pass '%s'\n", Name.c_str());
+/// Parses a -j thread count: decimal digits only, within unsigned range.
+bool parseJobs(const char *Text, unsigned &Jobs) {
+  std::string_view Digits(Text);
+  if (Digits.empty() || Digits.find_first_not_of("0123456789") != Digits.npos)
     return false;
-  }
-
-  bool ensureRanks() {
-    if (HaveRanks)
-      return true;
-    std::fprintf(stderr,
-                 "error: this pass needs ranks; run 'ssa' first\n");
+  errno = 0;
+  unsigned long V = std::strtoul(Text, nullptr, 10);
+  if (errno == ERANGE || V > UINT_MAX)
     return false;
-  }
-};
+  Jobs = unsigned(V);
+  return true;
+}
 
 /// Interprets every zero-argument function of \p M against a fresh zeroed
 /// memory image and returns the per-function dynamic profiles. Functions
@@ -266,7 +127,7 @@ int main(int argc, char **argv) {
   std::string ProfileOut;
   std::string ProfileInFile;
   std::string HotRemarkBaseline;
-  bool HaveLevel = false;
+  bool HaveLevel = false, HavePasses = false;
   bool TimePasses = false, WantRemarks = false, RemarksJSON = false;
   bool WantStats = false, PrintChanged = false, HotRemarks = false;
   unsigned Jobs = 1;
@@ -278,6 +139,7 @@ int main(int argc, char **argv) {
     std::string A = argv[I];
     if (A.rfind("-passes=", 0) == 0) {
       PassList = A.substr(8);
+      HavePasses = true;
     } else if (A.rfind("-O=", 0) == 0) {
       if (!parseOptLevel(A.substr(3), PO.Level)) {
         std::fprintf(stderr, "error: unknown opt level '%s'\n",
@@ -303,18 +165,13 @@ int main(int argc, char **argv) {
                      A.substr(8).c_str());
         return 2;
       }
-    } else if (A.rfind("-j", 0) == 0 && A.size() > 2 &&
-               A.find_first_not_of("0123456789", 2) == std::string::npos) {
-      Jobs = unsigned(std::stoul(A.substr(2)));
-    } else if (A == "-j" && I + 1 < argc) {
-      char *End = nullptr;
-      unsigned long V = std::strtoul(argv[I + 1], &End, 10);
-      if (!End || *End != '\0') {
-        std::fprintf(stderr, "error: -j needs a number\n");
+    } else if (A.rfind("-j", 0) == 0) {
+      const char *V =
+          A.size() > 2 ? argv[I] + 2 : I + 1 < argc ? argv[++I] : "";
+      if (!parseJobs(V, Jobs)) {
+        std::fprintf(stderr, "error: -j needs a thread count, got '%s'\n", V);
         return 2;
       }
-      Jobs = unsigned(V);
-      ++I;
     } else if (A == "-time-passes") {
       TimePasses = true;
     } else if (A.rfind("-trace-out=", 0) == 0) {
@@ -353,12 +210,15 @@ int main(int argc, char **argv) {
           "  [-stats] [-print-changed] [-profile-out=FILE]\n"
           "  [-profile-in=FILE] [-hot-remarks[=BASELINE.json]]\n"
           "\n"
+          "  -passes: any of %s, verify.\n"
+          "        Each pass runs as the -O levels run it; -strategy= and\n"
+          "        -O=distribution supply its settings.\n"
           "  -j N: optimize N functions in parallel in -O mode (default 1;\n"
           "        -j 0 = one worker per hardware thread). Output is\n"
           "        deterministic at any -j: the parallel driver merges each\n"
           "        function's counters/remarks in module order, so printed\n"
           "        IR, -stats, and -remarks are bit-identical to -j 1.\n",
-          argv[0]);
+          argv[0], PassRunner::passNames().c_str());
       return 2;
     }
   }
@@ -425,31 +285,39 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (HaveLevel) {
-    std::string Err;
-    std::optional<PipelineOptions> Valid = PipelineOptions::create(PO, &Err);
-    if (!Valid) {
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-    Valid->Instr = &PI;
-    if (Jobs == 1)
-      for (auto &F : R.M->Functions)
-        optimizeFunction(*F, *Valid);
-    else
-      runPipelineParallel(*R.M, *Valid, Jobs);
-  } else {
+  std::string Err;
+  std::optional<PipelineOptions> Valid = PipelineOptions::create(PO, &Err);
+  if (!Valid) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
+    return 2;
+  }
+  Valid->Instr = &PI;
+  if (HavePasses) {
     if (Jobs != 1)
       std::fprintf(stderr,
                    "note: -j applies to -O mode only; -passes runs serial\n");
+    std::vector<std::string> Passes = splitList(PassList);
     for (auto &F : R.M->Functions) {
-      StatsRegistry FR;
-      PassDriver Driver(*F, FR, &PI, PO.ProfileIn);
-      for (const std::string &P : splitList(PassList))
-        if (!Driver.run(P))
+      PassContext Ctx(&PI.stats(), &PI);
+      PassRunner Runner(*F, *Valid, Ctx);
+      for (const std::string &P : Passes) {
+        if (P == "verify") {
+          std::vector<std::string> E = verifyFunction(*F, SSAMode::Relaxed);
+          for (const std::string &Msg : E)
+            std::fprintf(stderr, "verify: %s\n", Msg.c_str());
+          if (!E.empty())
+            return 1;
+          continue;
+        }
+        std::string Problem = Runner.run(P);
+        if (!Problem.empty()) {
+          std::fprintf(stderr, "error: %s\n", Problem.c_str());
           return 1;
-      PI.stats().merge(FR);
+        }
+      }
     }
+  } else if (HaveLevel) {
+    runPipelineParallel(*R.M, *Valid, Jobs);
   }
 
   if (TimePasses)

@@ -22,9 +22,8 @@
 /// accessor call that forces a recompute: re-acquire after mutating.
 ///
 /// The cache can be disabled (every accessor recomputes) for differential
-/// testing: pass Disabled=true, or build with -DEPRE_DISABLE_ANALYSIS_CACHE
-/// to flip the default. Results must be byte-identical either way — the
-/// analyses are deterministic functions of the IR.
+/// testing: pass Disabled=true. Results must be byte-identical either way —
+/// the analyses are deterministic functions of the IR.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,8 +127,7 @@ public:
     }
   };
 
-  explicit FunctionAnalysisManager(Function &F,
-                                   bool Disabled = defaultDisabled())
+  explicit FunctionAnalysisManager(Function &F, bool Disabled = false)
       : F(F), Disabled(Disabled) {}
 
   FunctionAnalysisManager(const FunctionAnalysisManager &) = delete;
@@ -137,16 +135,6 @@ public:
 
   Function &function() { return F; }
   bool cachingDisabled() const { return Disabled; }
-
-  /// Compiled-in default for the disable flag; flipped by building with
-  /// -DEPRE_DISABLE_ANALYSIS_CACHE (differential testing).
-  static constexpr bool defaultDisabled() {
-#ifdef EPRE_DISABLE_ANALYSIS_CACHE
-    return true;
-#else
-    return false;
-#endif
-  }
 
   const CFG &cfg() {
     if (fresh(AnalysisID::CFGAnalysis, G.has_value()))

@@ -158,25 +158,17 @@ DataflowStats solveWorklist(const ProblemView &V,
 
     // Only the flow-side sets feed other blocks' meets, so the meet-side
     // result is not stored here; it is materialized once after convergence.
-    bool FlowChanged;
-    if (V.P.Gen) {
-      // Gen/Kill problems read the meet (no copy for single-source meets)
-      // and fuse transfer and change-detecting store into one word pass
-      // over the flow-side set. Safe even when the meet source aliases
-      // FlowSets[B] (self loop): the kernel reads each word before writing.
-      const BitVector *M = V.meetSource(B, FlowSets, S, Empty, Stats, W);
-      FlowChanged = V.P.Preserve
-                        ? FlowSets[B].assignMeetPreserveGen(
-                              *M, (*V.P.Preserve)[B], (*V.P.Gen)[B])
-                        : FlowSets[B].assignMeetKillGen(*M, (*V.P.Kill)[B],
-                                                        (*V.P.Gen)[B]);
-      Stats.WordsTouched += W;
-    } else {
-      Stats.WordsTouched += W * V.meetInto(B, FlowSets, S);
-      V.P.Transfer(B, S);
-      FlowChanged = FlowSets[B].assignFrom(S);
-      Stats.WordsTouched += 3 * W;
-    }
+    // Read the meet (no copy for single-source meets) and fuse transfer
+    // and change-detecting store into one word pass over the flow-side set.
+    // Safe even when the meet source aliases FlowSets[B] (self loop): the
+    // kernel reads each word before writing.
+    const BitVector *M = V.meetSource(B, FlowSets, S, Empty, Stats, W);
+    bool FlowChanged =
+        V.P.Preserve ? FlowSets[B].assignMeetPreserveGen(
+                           *M, (*V.P.Preserve)[B], (*V.P.Gen)[B])
+                     : FlowSets[B].assignMeetKillGen(*M, (*V.P.Kill)[B],
+                                                     (*V.P.Gen)[B]);
+    Stats.WordsTouched += W;
 
     if (FlowChanged)
       for (BlockId N : V.flowNeighbors(B))
@@ -195,8 +187,7 @@ DataflowStats solveWorklist(const ProblemView &V,
 DataflowStats epre::solveBitDataflow(const CFG &G, const BitDataflowProblem &P,
                                      std::vector<BitVector> &MeetSets,
                                      std::vector<BitVector> &FlowSets) {
-  assert((P.Gen || P.Transfer) && "dataflow problem needs a transfer");
-  assert((!P.Gen || (!!P.Preserve ^ !!P.Kill)) &&
+  assert(P.Gen && (!!P.Preserve ^ !!P.Kill) &&
          "Gen needs exactly one of Preserve/Kill");
   unsigned NB = G.numBlockSlots();
   bool InitOnes = P.Meet == MeetOp::Intersect;

@@ -4,8 +4,8 @@
 /// A shared solver for the global bit-vector dataflow problems of the
 /// optimizer (availability and anticipability in PRE, register liveness).
 ///
-/// A problem is described by its direction, its meet operator, and an
-/// in-place transfer function; the engine owns iteration order, meets,
+/// A problem is described by its direction, its meet operator, and a
+/// Gen/Kill transfer; the engine owns iteration order, meets,
 /// storage initialization, change detection, and the worklist discipline:
 ///
 ///  - blocks are seeded in reverse postorder (forward problems) or
@@ -32,7 +32,6 @@
 #include "support/BitVector.h"
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace epre {
@@ -77,25 +76,19 @@ struct BitDataflowProblem {
   /// problems; this adds to that set (e.g. blocks that cannot reach an exit
   /// in anticipability).
   const std::vector<uint8_t> *ExtraBoundary = nullptr;
-  /// Gen/Kill formulation — the preferred way to pose a problem. When
-  /// \p Gen is set the per-block transfer is
+  /// Gen/Kill formulation, the one way to pose a problem. The per-block
+  /// transfer is
   ///
   ///   Flow = (Meet & Preserve) | Gen     (if \p Preserve is set), or
   ///   Flow = (Meet & ~Kill)    | Gen     (if \p Kill is set),
   ///
   /// and the worklist solver computes it fused with the change-detecting
   /// store in a single word pass per block (BitVector::assignMeetPreserveGen
-  /// / assignMeetKillGen). All vectors are indexed by BlockId. Exactly one
-  /// of Preserve/Kill must accompany Gen.
+  /// / assignMeetKillGen). All vectors are indexed by BlockId. Gen is
+  /// required, with exactly one of Preserve/Kill.
   const std::vector<BitVector> *Gen = nullptr;
   const std::vector<BitVector> *Preserve = nullptr;
   const std::vector<BitVector> *Kill = nullptr;
-  /// General in-place transfer, for problems that do not fit Gen/Kill: on
-  /// entry \p Set holds the block's meet-side set (IN for forward problems,
-  /// OUT for backward); on return it must hold the flow-side set. Must be a
-  /// pure function of \p Set and per-block constants (monotone in \p Set)
-  /// for the fixpoint to be unique. Ignored when \p Gen is set.
-  std::function<void(BlockId, BitVector &Set)> Transfer;
 };
 
 /// Solves \p P over the reachable blocks of \p G.

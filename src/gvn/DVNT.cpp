@@ -168,7 +168,6 @@ PreservedAnalyses epre::DVNTPass::run(Function &F, FunctionAnalysisManager &AM,
                                       PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false; // copies are the variable-name definers
   SSABuildPass(Opts).run(F, AM, Ctx);
   Last = valueNumberDominatorTreeSSA(F, AM);

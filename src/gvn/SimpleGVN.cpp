@@ -397,7 +397,6 @@ PreservedAnalyses epre::SimpleGVNPass::run(Function &F,
   // variable-name discipline PRE relies on (§2.2, §5.1) survives the
   // round trip.
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false;
   SSABuildPass(Opts).run(F, AM, Ctx);
   Last = simpleGVNValueNumberSSA(F, &Ctx);

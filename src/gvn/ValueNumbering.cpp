@@ -215,7 +215,6 @@ PreservedAnalyses epre::GVNPass::run(Function &F, FunctionAnalysisManager &AM,
   // expression names across block boundaries — undoing the locality that
   // forward propagation established for PRE (§5.1).
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false;
   SSABuildPass(Opts).run(F, AM, Ctx);
   CongruencePartition P = computeCongruencePartition(F);

@@ -308,7 +308,6 @@ PreservedAnalyses epre::StrengthReductionPass::run(Function &F,
                                                    PassContext &Ctx) {
   PassScope Scope(Ctx, name(), F);
   SSAOptions Opts;
-  Opts.Pruned = true;
   Opts.FoldCopies = false;
   SSABuildPass(Opts).run(F, AM, Ctx);
   Last = strengthReduceSSAImpl(F, AM);

@@ -19,6 +19,7 @@
 #include "reassoc/ForwardProp.h"
 #include "reassoc/Reassociate.h"
 #include "ssa/SSA.h"
+#include "support/SmallVector.h"
 
 #include <algorithm>
 #include <atomic>
@@ -44,13 +45,14 @@ const char *epre::optLevelName(OptLevel L) {
 }
 
 const char *epre::gvnEngineName(GVNEngine E) {
+  // The two newer engines are spelled like the passes that run them.
   switch (E) {
   case GVNEngine::AWZ:
     return "awz";
   case GVNEngine::DVNT:
-    return "dvnt";
+    return DVNTPass::name();
   case GVNEngine::SaleenaPaleri:
-    return "simple-gvn";
+    return SimpleGVNPass::name();
   }
   return "?";
 }
@@ -170,152 +172,218 @@ PipelineOptions::create(const PipelineOptions &Proto, std::string *Err) {
 
 namespace {
 
-/// Admission control for pipeline prefix execution (optimizeFunctionPrefix):
-/// every pass application asks the gate before running, and the gate records
-/// the name of each admitted pass. optimizeFunction runs with an unlimited
-/// budget, so the gate reduces to trace bookkeeping there.
-struct PassGate {
-  unsigned Budget = ~0u;
-  unsigned Count = 0;
-  std::vector<std::string> Trace;
+/// Bounded by expression-tree depth in practice.
+constexpr unsigned MaxFixpointRounds = 16;
 
-  bool admit(const char *Name) {
-    if (Count >= Budget)
-      return false;
-    ++Count;
-    Trace.push_back(Name);
-    return true;
-  }
-  bool open() const { return Count < Budget; }
-};
-
-void verifyStage(const Function &F, const PipelineOptions &Opts,
-                 SSAMode Mode, const char *Stage) {
-  if (Opts.Verify)
-    verifyOrDie(F, Mode, Stage);
-}
-
-/// The paper's baseline sequence; every level ends with it.
-void runBaselineTail(Function &F, FunctionAnalysisManager &AM,
-                     const PipelineOptions &Opts, PassContext &Ctx,
-                     PassGate &Gate) {
-  if (Gate.admit("sccp")) {
-    SCCPPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "constant propagation");
-  }
-  if (Gate.admit("simplifycfg")) {
-    SimplifyCFGPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "cfg simplification");
-  }
-
-  PeepholeOptions PO;
-  PO.StrengthReduceMul = Opts.StrengthReduceMul;
-  if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "peephole");
-  }
-
-  // Peephole can expose more constants (and vice versa); one more round
-  // matches the paper's "sequence of passes" spirit without iterating to
-  // an unbounded fixpoint.
-  if (Gate.admit("sccp"))
-    SCCPPass().run(F, AM, Ctx);
-  if (Gate.admit("simplifycfg"))
-    SimplifyCFGPass().run(F, AM, Ctx);
-  if (Gate.admit("peephole")) {
-    PeepholePass(PO).run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "second peephole");
-  }
-
-  if (Gate.admit("dce")) {
-    DCEPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "dead code elimination");
-  }
-
-  if (Gate.admit("coalesce")) {
-    CopyCoalescingPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "coalescing");
-  }
-
-  if (Gate.admit("dce"))
-    DCEPass().run(F, AM, Ctx);
-  if (Gate.admit("simplifycfg")) {
-    SimplifyCFGPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::Relaxed, "final cleanup");
-  }
-}
-
-void runReassociationPhase(Function &F, FunctionAnalysisManager &AM,
-                           const PipelineOptions &Opts, PassContext &Ctx,
-                           PassGate &Gate) {
-  if (Gate.admit("ssa.build")) {
-    SSABuildPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::SSA, "SSA construction");
-  }
-  // A prefix cut here leaves the function in SSA form, which the verifier
-  // (Relaxed) and the interpreter both accept.
-  if (!Gate.open())
-    return;
-
-  // The reassociation passes extend this map in place as they create
-  // registers, so it lives outside the manager (the cached slot would be a
-  // stale snapshot after the first setRank).
-  RankMap Ranks = RankMap::compute(F, AM.cfg());
-
-  if (Gate.admit("fwdprop")) {
-    ForwardPropPass(Ranks).run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::NoSSA, "forward propagation");
-  }
-
+ReassociateOptions reassociateOptions(const PipelineOptions &Opts) {
   ReassociateOptions RO;
   RO.AllowFPReassoc = Opts.AllowFPReassoc;
   RO.Distribute = Opts.Level == OptLevel::Distribution;
-
-  if (Gate.admit("negnorm")) {
-    NegNormPass(Ranks, RO).run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::NoSSA, "negation normalization");
-  }
-
-  if (Gate.admit("reassoc")) {
-    ReassociatePass(Ranks, RO).run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::NoSSA, "reassociation");
-  }
-
-  if (Opts.Engine == GVNEngine::AWZ) {
-    if (Gate.admit("gvn")) {
-      GVNPass().run(F, AM, Ctx);
-      verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
-    }
-  } else if (Opts.Engine == GVNEngine::SaleenaPaleri) {
-    if (Gate.admit("simple-gvn")) {
-      SimpleGVNPass().run(F, AM, Ctx);
-      verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
-    }
-  } else if (Gate.admit("dvnt")) {
-    DVNTPass().run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::NoSSA, "global value numbering");
-  }
+  return RO;
 }
 
-/// PRE handles one nesting level of redundancy per run: deleting the
-/// computation of an inner subexpression un-kills its parents. Iterate to
-/// a fixpoint (bounded by expression-tree depth). Counters accumulate
-/// across rounds (pre.universe is a per-round sum; see observability doc).
-/// Each round is one gated pass application, so bisection can land between
-/// rounds.
-void runPREToFixpoint(Function &F, FunctionAnalysisManager &AM,
-                      const PipelineOptions &Opts, PassContext &Ctx,
-                      PassGate &Gate) {
-  PREPass P(Opts.Strategy);
-  for (unsigned Round = 0; Round < 16; ++Round) {
-    if (!Gate.admit("pre"))
-      break;
-    P.run(F, AM, Ctx);
-    verifyStage(F, Opts, SSAMode::NoSSA, "PRE");
-    if (P.lastStats().Inserted == 0 && P.lastStats().Deleted == 0)
-      break;
-  }
+} // namespace
+
+/// How the table runs one pass. The levels repeat a Fixpoint entry until a
+/// round changes nothing, at most MaxFixpointRounds times (PRE handles one
+/// nesting level of redundancy per run: deleting an inner subexpression
+/// un-kills its parents); its counters accumulate across rounds. Every
+/// other entry, and every entry of an explicit pass list, runs once per
+/// mention.
+struct PassRunner::Entry {
+  const char *Name;
+  /// What the verifier requires after the pass when Opts.Verify is set.
+  SSAMode VerifyMode;
+  /// Consumes (and extends) the RankMap that ssa.build creates.
+  bool NeedsRanks;
+  bool Fixpoint;
+  void (*Run)(PassRunner &R);
+};
+
+const PassRunner::Entry PassRunner::Table[] = {
+    {UnreachableBlockElimPass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) {
+       UnreachableBlockElimPass().run(R.F, R.AM, R.Ctx);
+     }},
+    {LocalizeNamesPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { LocalizeNamesPass().run(R.F, R.AM, R.Ctx); }},
+    {SSABuildPass::name(), SSAMode::SSA, false, false,
+     [](PassRunner &R) {
+       SSABuildPass().run(R.F, R.AM, R.Ctx);
+       R.Ranks = RankMap::compute(R.F, R.AM.cfg());
+     }},
+    {SSADestroyPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { SSADestroyPass().run(R.F, R.AM, R.Ctx); }},
+    {ForwardPropPass::name(), SSAMode::NoSSA, true, false,
+     [](PassRunner &R) { ForwardPropPass(*R.Ranks).run(R.F, R.AM, R.Ctx); }},
+    {NegNormPass::name(), SSAMode::NoSSA, true, false,
+     [](PassRunner &R) {
+       NegNormPass(*R.Ranks, reassociateOptions(R.Opts)).run(R.F, R.AM, R.Ctx);
+     }},
+    {ReassociatePass::name(), SSAMode::NoSSA, true, false,
+     [](PassRunner &R) {
+       ReassociatePass(*R.Ranks, reassociateOptions(R.Opts))
+           .run(R.F, R.AM, R.Ctx);
+     }},
+    {GVNPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { GVNPass().run(R.F, R.AM, R.Ctx); }},
+    {DVNTPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { DVNTPass().run(R.F, R.AM, R.Ctx); }},
+    {SimpleGVNPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { SimpleGVNPass().run(R.F, R.AM, R.Ctx); }},
+    {PREPass::name(), SSAMode::NoSSA, false, true,
+     [](PassRunner &R) {
+       PREPass P(R.Opts.Strategy);
+       P.run(R.F, R.AM, R.Ctx);
+       R.PREChanged = P.lastStats().Inserted || P.lastStats().Deleted;
+     }},
+    {StrengthReductionPass::name(), SSAMode::NoSSA, false, false,
+     [](PassRunner &R) { StrengthReductionPass().run(R.F, R.AM, R.Ctx); }},
+    {SCCPPass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) { SCCPPass().run(R.F, R.AM, R.Ctx); }},
+    {SimplifyCFGPass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) { SimplifyCFGPass().run(R.F, R.AM, R.Ctx); }},
+    {PeepholePass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) {
+       PeepholeOptions PO;
+       PO.StrengthReduceMul = R.Opts.StrengthReduceMul;
+       PeepholePass(PO).run(R.F, R.AM, R.Ctx);
+     }},
+    {DCEPass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) { DCEPass().run(R.F, R.AM, R.Ctx); }},
+    {CopyCoalescingPass::name(), SSAMode::Relaxed, false, false,
+     [](PassRunner &R) { CopyCoalescingPass().run(R.F, R.AM, R.Ctx); }},
+};
+
+const PassRunner::Entry *PassRunner::find(std::string_view Name) {
+  for (const Entry &E : Table)
+    if (Name == E.Name)
+      return &E;
+  return nullptr;
 }
+
+std::string PassRunner::passNames() {
+  std::string Names;
+  for (const Entry &E : Table) {
+    if (!Names.empty())
+      Names += ", ";
+    Names += E.Name;
+  }
+  return Names;
+}
+
+PassRunner::PassRunner(Function &F, const PipelineOptions &Opts,
+                       PassContext &Ctx)
+    : F(F), Opts(Opts), Ctx(Ctx), AM(F, Opts.DisableAnalysisCache) {
+  if (Opts.ProfileIn)
+    AM.setProfileSource(Opts.ProfileIn->find(F.name()));
+}
+
+void PassRunner::apply(const Entry &E) {
+  E.Run(*this);
+  if (Opts.Verify)
+    verifyOrDie(F, E.VerifyMode, E.Name);
+}
+
+std::string PassRunner::run(std::string_view Name) {
+  const Entry *E = find(Name);
+  if (!E)
+    return "unknown pass '" + std::string(Name) + "' (valid: " + passNames() +
+           ")";
+  if (E->NeedsRanks && !Ranks)
+    return std::string(E->Name) + " needs ranks; run " + SSABuildPass::name() +
+           " first";
+  apply(*E);
+  return "";
+}
+
+namespace {
+
+/// The passes of one level, in order. Fits every level inline (the
+/// longest is 19 names), so building it allocates nothing.
+using LevelPasses = SmallVector<const char *, 24>;
+
+/// The paper's baseline sequence; every level ends with it. Peephole can
+/// expose more constants (and vice versa), so the first three passes run
+/// twice, in the paper's "sequence of passes" spirit without iterating to
+/// an unbounded fixpoint.
+constexpr const char *BaselineTail[] = {
+    SCCPPass::name(), SimplifyCFGPass::name(),    PeepholePass::name(),
+    SCCPPass::name(), SimplifyCFGPass::name(),    PeepholePass::name(),
+    DCEPass::name(),  CopyCoalescingPass::name(), DCEPass::name(),
+    SimplifyCFGPass::name()};
+
+const char *gvnPassName(GVNEngine E) {
+  switch (E) {
+  case GVNEngine::AWZ:
+    return GVNPass::name();
+  case GVNEngine::DVNT:
+    return DVNTPass::name();
+  case GVNEngine::SaleenaPaleri:
+    return SimpleGVNPass::name();
+  }
+  return GVNPass::name();
+}
+
+LevelPasses levelPasses(const PipelineOptions &Opts) {
+  LevelPasses L;
+  if (Opts.Level == OptLevel::None)
+    return L;
+  L.push_back(UnreachableBlockElimPass::name());
+  switch (Opts.Level) {
+  case OptLevel::None:
+  case OptLevel::Baseline:
+    break;
+  case OptLevel::Partial:
+    // §5.1's "alternative approach": shadow-copy any expression name the
+    // front end left live across a block boundary, so PRE's universe never
+    // has to drop an expression.
+    L.push_back(LocalizeNamesPass::name());
+    L.push_back(PREPass::name());
+    break;
+  case OptLevel::Reassociation:
+  case OptLevel::Distribution:
+    // A prefix cut after ssa.build leaves the function in SSA form, which
+    // the verifier (Relaxed) and the interpreter both accept.
+    for (const char *Name :
+         {SSABuildPass::name(), ForwardPropPass::name(), NegNormPass::name(),
+          ReassociatePass::name(), gvnPassName(Opts.Engine), PREPass::name()})
+      L.push_back(Name);
+    break;
+  }
+  if (Opts.EnableStrengthReduction) {
+    L.push_back(StrengthReductionPass::name());
+    if (Opts.Level != OptLevel::Baseline)
+      L.push_back(PREPass::name());
+  }
+  for (const char *Name : BaselineTail)
+    L.push_back(Name);
+  return L;
+}
+
+} // namespace
+
+unsigned PassRunner::runLevel(unsigned Budget,
+                              std::vector<std::string> *Trace) {
+  unsigned Count = 0;
+  for (const char *Name : levelPasses(Opts)) {
+    const Entry &E = *find(Name);
+    unsigned Rounds = E.Fixpoint ? MaxFixpointRounds : 1;
+    for (unsigned Round = 0; Round < Rounds; ++Round) {
+      if (Count == Budget)
+        return Count;
+      ++Count;
+      if (Trace)
+        Trace->emplace_back(E.Name);
+      apply(E);
+      if (E.Fixpoint && !PREChanged)
+        break;
+    }
+  }
+  return Count;
+}
+
+namespace {
 
 /// Surfaces the analysis manager's cache counters as analysis.<name>.*
 /// so the observability layer reports cache behaviour next to pass work.
@@ -334,10 +402,11 @@ void publishAnalysisStats(const FunctionAnalysisManager &AM,
   }
 }
 
-/// The shared body of optimizeFunction (unlimited gate) and
-/// optimizeFunctionPrefix (budgeted gate).
-PipelineStats optimizeFunctionGated(Function &F, const PipelineOptions &Opts,
-                                    PassGate &Gate) {
+/// The shared body of optimizeFunction (no budget, no trace) and
+/// optimizeFunctionPrefix.
+PipelineStats runPipeline(Function &F, const PipelineOptions &Opts,
+                          unsigned Budget, std::vector<std::string> *Trace,
+                          unsigned *PassesRun) {
   PipelineStats Stats;
   {
     // Every counter of this run lands in the per-function registry first;
@@ -348,48 +417,14 @@ PipelineStats optimizeFunctionGated(Function &F, const PipelineOptions &Opts,
     Ctx.addStat("ops_before", F.staticOperationCount());
 
     if (Opts.Level != OptLevel::None) {
-      // One analysis manager per function: every pass below reads its
-      // analyses from here and declares what it preserved, so rounds that
-      // change nothing stop paying for full re-analysis.
-      FunctionAnalysisManager AM(F, Opts.DisableAnalysisCache);
-      if (Opts.ProfileIn)
-        AM.setProfileSource(Opts.ProfileIn->find(F.name()));
-
-      if (Gate.admit("unreachable-elim"))
-        UnreachableBlockElimPass().run(F, AM, Ctx);
-
-      switch (Opts.Level) {
-      case OptLevel::None:
-      case OptLevel::Baseline:
-        break;
-      case OptLevel::Partial:
-        // §5.1's "alternative approach": shadow-copy any expression name
-        // the front end left live across a block boundary, so PRE's
-        // universe never has to drop an expression.
-        if (Gate.admit("localize")) {
-          LocalizeNamesPass().run(F, AM, Ctx);
-          verifyStage(F, Opts, SSAMode::NoSSA, "name localization");
-        }
-        runPREToFixpoint(F, AM, Opts, Ctx, Gate);
-        break;
-      case OptLevel::Reassociation:
-      case OptLevel::Distribution:
-        runReassociationPhase(F, AM, Opts, Ctx, Gate);
-        runPREToFixpoint(F, AM, Opts, Ctx, Gate);
-        break;
-      }
-
-      if (Opts.EnableStrengthReduction) {
-        if (Gate.admit("strengthreduce")) {
-          StrengthReductionPass().run(F, AM, Ctx);
-          verifyStage(F, Opts, SSAMode::NoSSA, "strength reduction");
-        }
-        if (Opts.Level != OptLevel::Baseline)
-          runPREToFixpoint(F, AM, Opts, Ctx, Gate);
-      }
-
-      runBaselineTail(F, AM, Opts, Ctx, Gate);
-      publishAnalysisStats(AM, Stats.Registry);
+      // One analysis manager per function: every pass reads its analyses
+      // from the runner's manager and declares what it preserved, so
+      // rounds that change nothing stop paying for full re-analysis.
+      PassRunner Runner(F, Opts, Ctx);
+      unsigned N = Runner.runLevel(Budget, Trace);
+      if (PassesRun)
+        *PassesRun = N;
+      publishAnalysisStats(Runner.analyses(), Stats.Registry);
     }
 
     Ctx.addStat("ops_after", F.staticOperationCount());
@@ -404,19 +439,14 @@ PipelineStats optimizeFunctionGated(Function &F, const PipelineOptions &Opts,
 
 PipelineStats epre::optimizeFunction(Function &F,
                                      const PipelineOptions &Opts) {
-  PassGate Gate;
-  return optimizeFunctionGated(F, Opts, Gate);
+  return runPipeline(F, Opts, ~0u, nullptr, nullptr);
 }
 
 PassPrefixResult epre::optimizeFunctionPrefix(Function &F,
                                               const PipelineOptions &Opts,
                                               unsigned MaxPasses) {
-  PassGate Gate;
-  Gate.Budget = MaxPasses;
-  optimizeFunctionGated(F, Opts, Gate);
   PassPrefixResult R;
-  R.PassesRun = Gate.Count;
-  R.Trace = std::move(Gate.Trace);
+  runPipeline(F, Opts, MaxPasses, &R.Trace, &R.PassesRun);
   return R;
 }
 

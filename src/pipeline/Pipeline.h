@@ -14,11 +14,12 @@
 ///  - \c Distribution: Reassociation plus distribution of multiplication
 ///    over addition.
 ///
-/// Every pass is invoked through the unified
-/// `run(Function&, FunctionAnalysisManager&, PassContext&)` entry point, so
-/// attaching a PassInstrumentation to PipelineOptions::Instr observes the
-/// whole pipeline (timers, counters, remarks, IR snapshots) without any
-/// per-pass wiring.
+/// Each level is a list of pass names run through one pass table
+/// (PassRunner), the same table `epre-opt -passes=` runs. Every pass is
+/// invoked through the unified `run(Function&, FunctionAnalysisManager&,
+/// PassContext&)` entry point, so attaching a PassInstrumentation to
+/// PipelineOptions::Instr observes the whole pipeline (timers, counters,
+/// remarks, IR snapshots) without any per-pass wiring.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -108,9 +109,8 @@ struct PipelineOptions {
   /// Run the IR verifier after every pass (aborts on breakage).
   bool Verify = true;
   /// Force every analysis lookup to recompute (differential testing of the
-  /// cached FunctionAnalysisManager). Defaults to the compiled-in value,
-  /// which -DEPRE_DISABLE_ANALYSIS_CACHE flips.
-  bool DisableAnalysisCache = FunctionAnalysisManager::defaultDisabled();
+  /// cached FunctionAnalysisManager).
+  bool DisableAnalysisCache = false;
   /// Dynamic profile the pipeline may consume (profile-guided input, the
   /// other direction from Instr's profile *output*): each function's entry
   /// is attached to its analysis manager as the ProfileInfo source, keyed
@@ -197,6 +197,55 @@ struct PipelineStats {
 
   /// Commutative aggregation across functions (suite totals).
   void merge(const PipelineStats &O) { Registry.merge(O.Registry); }
+};
+
+/// The one pass table: every pass class, keyed by its name() constant,
+/// with how the pipeline runs it on one function — construction from
+/// PipelineOptions (PRE strategy, distribution, FP reassociation, multiply
+/// strength reduction), the RankMap that ssa.build creates and
+/// fwdprop/negnorm/reassoc extend, and the verifier mode checked after
+/// every application when Opts.Verify is set. A level is a list of these
+/// names (runLevel); `epre-opt -passes=` runs a user-given list through
+/// run(), so the trace of optimizeFunctionPrefix replays exactly.
+class PassRunner {
+public:
+  /// \p Opts and \p Ctx must outlive the runner. The runner owns the
+  /// function's analysis manager, with Opts.ProfileIn's entry for \p F
+  /// attached.
+  PassRunner(Function &F, const PipelineOptions &Opts, PassContext &Ctx);
+
+  /// Runs one application of the pass named \p Name. Returns "" on
+  /// success, else why nothing ran: an unknown name, or a pass that needs
+  /// ranks before ssa.build created them.
+  std::string run(std::string_view Name);
+
+  /// Runs the pass list of Opts.Level, repeating PRE to its fixpoint (each
+  /// round is one application), and stops once \p Budget applications
+  /// have run. Appends each application's name to \p Trace when non-null.
+  /// Returns the number of applications run.
+  unsigned runLevel(unsigned Budget, std::vector<std::string> *Trace);
+
+  const FunctionAnalysisManager &analyses() const { return AM; }
+
+  /// Comma-separated list of the table's pass names, in table order.
+  static std::string passNames();
+
+private:
+  struct Entry;
+  static const Entry Table[];
+  static const Entry *find(std::string_view Name);
+  void apply(const Entry &E);
+
+  Function &F;
+  const PipelineOptions &Opts;
+  PassContext &Ctx;
+  FunctionAnalysisManager AM;
+  /// Lives here rather than in the manager's cached slot: the
+  /// reassociation passes extend it in place as they create registers, so
+  /// a cached snapshot would go stale on the first setRank.
+  std::optional<RankMap> Ranks;
+  /// Whether the last PRE round inserted or deleted anything.
+  bool PREChanged = false;
 };
 
 /// Runs the configured pipeline on \p F in place.

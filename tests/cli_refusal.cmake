@@ -1,13 +1,17 @@
-# Runs TOOL on INPUT with ARGS (a ;-list) and requires exit code 1, an
-# empty stdout, and EXPECT somewhere in stderr:
+# Runs TOOL on INPUT with ARGS (a ;-list) and requires exit code CODE
+# (default 1), an empty stdout, and EXPECT somewhere in stderr:
 #
-#   cmake -DTOOL=... -DINPUT=... -DARGS=... -DEXPECT=... -P cli_refusal.cmake
+#   cmake -DTOOL=... -DINPUT=... -DARGS=... -DEXPECT=... [-DCODE=2] \
+#         -P cli_refusal.cmake
+if(NOT DEFINED CODE)
+  set(CODE 1)
+endif()
 execute_process(COMMAND ${TOOL} ${INPUT} ${ARGS}
                 RESULT_VARIABLE Code
                 OUTPUT_VARIABLE Out
                 ERROR_VARIABLE Err)
-if(NOT Code STREQUAL "1")
-  message(FATAL_ERROR "expected exit 1, got '${Code}'\nstderr:\n${Err}")
+if(NOT Code STREQUAL "${CODE}")
+  message(FATAL_ERROR "expected exit ${CODE}, got '${Code}'\nstderr:\n${Err}")
 endif()
 if(NOT Out STREQUAL "")
   message(FATAL_ERROR "expected no output, got:\n${Out}")

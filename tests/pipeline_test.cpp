@@ -3,16 +3,23 @@
 /// Integration tests of pipeline options that the smoke/suite tests don't
 /// cover: strategy and FP-reassociation knobs, verification toggles, level
 /// monotonicity on a hoisting-friendly workload, module-level driving,
-/// and stability (optimizing twice changes nothing the second time).
+/// stability (optimizing twice changes nothing the second time), and the
+/// pass table that the levels and `epre-opt -passes=` share.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/Lower.h"
 #include "interp/Interpreter.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "pipeline/Pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace epre;
 
@@ -205,6 +212,97 @@ end
   EXPECT_EQ(interpret(F, {RtValue::ofI(2), RtValue::ofI(3)}, Mem)
                 .ReturnValue.I,
             0);
+}
+
+
+std::unique_ptr<Module> parseOrFail(const std::string &Text) {
+  ParseResult R = parseModule(Text);
+  EXPECT_TRUE(R.ok()) << R.Error;
+  return std::move(R.M);
+}
+
+/// Replaying the full trace of a level through PassRunner::run, the entry
+/// `epre-opt -passes=` calls, must print the same IR as optimizeFunction:
+/// every corpus function, level, GVN engine and non-speculative PRE
+/// strategy. Verification stays on, so every application is also checked
+/// in its table entry's verifier mode.
+TEST(PassTable, TraceReplayMatchesOptimizeFunction) {
+  std::vector<std::string> Files;
+  for (const auto &E : std::filesystem::directory_iterator(EPRE_CORPUS_DIR))
+    if (E.path().extension() == ".iloc")
+      Files.push_back(E.path().string());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+
+  for (const std::string &Path : Files) {
+    std::ifstream In(Path);
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    const std::string Text = Buf.str();
+    std::unique_ptr<Module> Probe = parseOrFail(Text);
+    ASSERT_TRUE(Probe) << Path;
+    for (OptLevel L : {OptLevel::None, OptLevel::Baseline, OptLevel::Partial,
+                       OptLevel::Reassociation, OptLevel::Distribution})
+      for (GVNEngine E : AllGVNEngines)
+        for (PREStrategy S :
+             {PREStrategy::LazyCodeMotion, PREStrategy::MorelRenvoise,
+              PREStrategy::GlobalCSE}) {
+          PipelineOptions PO;
+          PO.Level = L;
+          PO.Engine = E;
+          PO.Strategy = S;
+          std::string Config = Path + " " + optLevelName(L) + "/" +
+                               gvnEngineName(E) + "/" + preStrategyName(S);
+          for (size_t I = 0; I < Probe->Functions.size(); ++I) {
+            std::unique_ptr<Module> Want = parseOrFail(Text);
+            optimizeFunction(*Want->Functions[I], PO);
+
+            std::unique_ptr<Module> Traced = parseOrFail(Text);
+            std::vector<std::string> Trace =
+                optimizeFunctionPrefix(*Traced->Functions[I], PO, ~0u).Trace;
+            EXPECT_EQ(L == OptLevel::None, Trace.empty()) << Config;
+
+            std::unique_ptr<Module> Got = parseOrFail(Text);
+            StatsRegistry SR;
+            PassContext Ctx(&SR);
+            PassRunner Runner(*Got->Functions[I], PO, Ctx);
+            for (const std::string &Name : Trace)
+              ASSERT_EQ(Runner.run(Name), "") << Config;
+            EXPECT_EQ(printFunction(*Got->Functions[I]),
+                      printFunction(*Want->Functions[I]))
+                << Config;
+          }
+        }
+  }
+}
+
+TEST(PassTable, RefusesUnknownNamesAndPassesWithoutRanks) {
+  std::unique_ptr<Module> M = parseOrFail(R"(
+func @f(%a:i64, %b:i64) -> i64 {
+^e:
+  %x:i64 = sub %a, %b
+  ret %x
+}
+)");
+  ASSERT_TRUE(M);
+  Function &F = *M->Functions[0];
+  std::string Before = printFunction(F);
+  PipelineOptions PO;
+  PassContext Ctx;
+  PassRunner Runner(F, PO, Ctx);
+
+  // The old filter spellings are gone; the error lists the valid names.
+  std::string Err = Runner.run("constprop");
+  EXPECT_NE(Err.find("unknown pass 'constprop'"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("unreachable-elim"), std::string::npos) << Err;
+  EXPECT_NE(Runner.run("verify"), "");
+
+  // The reassociation passes extend the ranks ssa.build creates.
+  EXPECT_NE(Runner.run("negnorm"), "");
+  EXPECT_EQ(printFunction(F), Before);
+  EXPECT_EQ(Runner.run("ssa.build"), "");
+  EXPECT_EQ(Runner.run("negnorm"), "");
+  EXPECT_EQ(Runner.run("reassoc"), "");
 }
 
 } // namespace

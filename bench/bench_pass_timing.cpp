@@ -10,6 +10,7 @@
 #include "analysis/Liveness.h"
 #include "frontend/Lower.h"
 #include "gvn/ValueNumbering.h"
+#include "instrument/PassTimer.h"
 #include "instrument/Profile.h"
 #include "interp/Interpreter.h"
 #include "pipeline/Pipeline.h"
@@ -23,6 +24,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string_view>
+#include <vector>
 
 using namespace epre;
 
@@ -292,17 +295,60 @@ BENCHMARK(BM_PipelineEndToEnd)
     ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
+/// Per-pass wall time summed over the iterations of an instrumented run:
+/// the outer ssa.build, gvn's own time (without its inner SSA round trip),
+/// gvn's inner ssa.build, and every pre round.
+struct PassTimes {
+  uint64_t SSABuildNs = 0, GVNSelfNs = 0, GVNSSABuildNs = 0, PRENs = 0;
+
+  void add(const TimerTree &T) {
+    const std::vector<TimerTree::Slice> &S = T.slices();
+    for (const TimerTree::Slice &Sl : S) {
+      std::string_view Parent = Sl.Parent < 0 ? "" : S[Sl.Parent].Name;
+      if (Parent == "pipeline" && Sl.Name == "ssa.build")
+        SSABuildNs += Sl.DurNs;
+      else if (Parent == "pipeline" && Sl.Name == "pre")
+        PRENs += Sl.DurNs;
+      else if (Parent == "pipeline" && Sl.Name == "gvn")
+        GVNSelfNs += Sl.DurNs;
+      if (Parent == "gvn") {
+        GVNSelfNs -= Sl.DurNs;
+        if (Sl.Name == "ssa.build")
+          GVNSSABuildNs += Sl.DurNs;
+      }
+    }
+  }
+
+  /// Records the times as per-iteration averages in milliseconds.
+  void report(benchmark::State &State) const {
+    auto Ms = [&](uint64_t Ns) {
+      return benchmark::Counter(double(Ns) / 1e6,
+                                benchmark::Counter::kAvgIterations);
+    };
+    State.counters["ssa_build_ms"] = Ms(SSABuildNs);
+    State.counters["gvn_self_ms"] = Ms(GVNSelfNs);
+    State.counters["gvn_ssa_build_ms"] = Ms(GVNSSABuildNs);
+    State.counters["pre_ms"] = Ms(PRENs);
+  }
+};
+
 /// The same run with timers + stats + remarks collection attached: the
 /// instrumentation overhead the observability layer must keep under 10%
 /// (EXPERIMENTS.md records the measured ratio against BM_PipelineEndToEnd).
+/// The run also reports the times of ssa.build, gvn and pre as counters,
+/// read from its own timer tree outside the timed region.
 void BM_PipelineEndToEndInstrumented(benchmark::State &State) {
+  PassTimes Times;
+  std::unique_ptr<PassInstrumentation> PI;
   for (auto _ : State) {
     State.PauseTiming();
+    if (PI)
+      Times.add(PI->timers());
     auto M = compileGen(unsigned(State.range(0)), NamingMode::Naive);
     InstrumentationOptions IO;
     IO.TimePasses = true;
     IO.CollectRemarks = true;
-    auto PI = std::make_unique<PassInstrumentation>(IO);
+    PI = std::make_unique<PassInstrumentation>(IO);
     State.ResumeTiming();
     PipelineOptions PO;
     PO.Level = OptLevel::Distribution;
@@ -311,11 +357,15 @@ void BM_PipelineEndToEndInstrumented(benchmark::State &State) {
     optimizeFunction(*M->Functions[0], PO);
     benchmark::DoNotOptimize(PI->stats().size());
   }
+  if (PI)
+    Times.add(PI->timers());
+  Times.report(State);
 }
 BENCHMARK(BM_PipelineEndToEndInstrumented)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
 /// The same total work split across 16 functions and handed to the parallel

@@ -12,6 +12,9 @@
 ///   epre-fuzz -seeds 10 -inject-gvn               # planted simple-gvn fault
 ///   epre-fuzz -replay repro.iloc                  # re-run one reproducer
 ///
+/// Exits 0 when every program is clean, 1 on a mismatch, and 2 on a usage
+/// error or when a reproducer cannot be written under -out.
+///
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Bisect.h"
@@ -152,16 +155,33 @@ bool loadProgramFile(const std::string &Path, FuzzProgram &P) {
   return true;
 }
 
+/// Writes \p Text to \p Path, checking the open, the write and the close;
+/// on failure reports the path on stderr and returns false.
+bool writeArtifact(const std::string &Path, const std::string &Text) {
+  std::ofstream Out(Path);
+  if (Out) {
+    Out << Text;
+    Out.close();
+  }
+  if (!Out) {
+    std::fprintf(stderr, "epre-fuzz: cannot write reproducer '%s'\n",
+                 Path.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Investigates one flagged program: bisect the first finding's config,
-/// reduce, and write reproducer artifacts. Returns the reproducer path.
-std::string investigate(const FuzzProgram &P, const OracleResult &OR,
-                        const OracleOptions &OO, const Options &Opt) {
+/// reduce, and write reproducer artifacts. Returns false when an artifact
+/// could not be written.
+bool investigate(const FuzzProgram &P, const OracleResult &OR,
+                 const OracleOptions &OO, const Options &Opt) {
   const OracleFinding &F0 = OR.Findings.front();
   OracleConfig C;
   if (!findOracleConfig(F0.Config, Opt.Quick, C)) {
     std::fprintf(stderr, "  internal: config '%s' not found\n",
                  F0.Config.c_str());
-    return "";
+    return true;
   }
 
   std::printf("  bisecting under config '%s'...\n", C.Name.c_str());
@@ -188,31 +208,27 @@ std::string investigate(const FuzzProgram &P, const OracleResult &OR,
   std::string Prefix;
   for (unsigned I = 0; B.Bisected && I < B.PrefixLength; ++I)
     Prefix += (I ? "," : "") + B.Trace[I];
-  {
-    std::ofstream Out(IlocPath);
-    Out << R.Text;
-  }
-  {
-    std::ofstream Out(Stem + ".txt");
-    Out << "config:  " << F0.Config << "\n"
-        << "kind:    " << mismatchKindName(F0.Kind) << "\n"
-        << "detail:  " << F0.Detail << "\n"
-        << "guilty:  " << (B.Bisected ? B.GuiltyPass : "<unbisected>") << "\n"
-        << "prefix:  " << (B.Bisected ? Prefix : "<unbisected>") << "\n"
-        << "seed:    " << P.Seed << " (shape " << P.Shape << ")\n"
-        << "replay:  epre-fuzz -replay " << IlocPath
-        << (Opt.Inject ? " -inject" : "")
-        << (Opt.InjectGVN ? " -inject-gvn" : "")
-        << (Opt.Quick ? " -quick" : "")
-        << "\n\n--- original ---\n"
-        << P.Text;
-  }
+  std::ostringstream Note;
+  Note << "config:  " << F0.Config << "\n"
+       << "kind:    " << mismatchKindName(F0.Kind) << "\n"
+       << "detail:  " << F0.Detail << "\n"
+       << "guilty:  " << (B.Bisected ? B.GuiltyPass : "<unbisected>") << "\n"
+       << "prefix:  " << (B.Bisected ? Prefix : "<unbisected>") << "\n"
+       << "seed:    " << P.Seed << " (shape " << P.Shape << ")\n"
+       << "replay:  epre-fuzz -replay " << IlocPath
+       << (Opt.Inject ? " -inject" : "")
+       << (Opt.InjectGVN ? " -inject-gvn" : "") << (Opt.Quick ? " -quick" : "")
+       << "\n\n--- original ---\n"
+       << P.Text;
+  if (!writeArtifact(IlocPath, R.Text) ||
+      !writeArtifact(Stem + ".txt", Note.str()))
+    return false;
   std::printf("  reproducer: %s\n", IlocPath.c_str());
   std::printf("  replay:     epre-fuzz -replay %s%s%s%s\n", IlocPath.c_str(),
               Opt.Inject ? " -inject" : "",
               Opt.InjectGVN ? " -inject-gvn" : "",
               Opt.Quick ? " -quick" : "");
-  return IlocPath;
+  return true;
 }
 
 void reportFindings(const FuzzProgram &P, const OracleResult &OR) {
@@ -250,8 +266,7 @@ int main(int Argc, char **Argv) {
     OracleResult OR = runDifferentialOracle(P, OO, Configs);
     if (OR.Mismatch) {
       reportFindings(P, OR);
-      investigate(P, OR, OO, Opt);
-      return 1;
+      return investigate(P, OR, OO, Opt) ? 1 : 2;
     }
     std::printf("replay clean: %u configs, %s\n", OR.ConfigsRun,
                 OR.Inconclusive ? "inconclusive (fuel)" : "no mismatch");
@@ -288,7 +303,10 @@ int main(int Argc, char **Argv) {
         ++Mismatches;
         Exit = 1;
         reportFindings(P, OR);
-        investigate(P, OR, OO, Opt);
+        // A campaign whose reproducers cannot be written has lost its
+        // findings; stop instead of reporting them as written.
+        if (!investigate(P, OR, OO, Opt))
+          return 2;
       }
       if (Ran % 100 == 0)
         std::printf("... %llu programs, %llu mismatches\n",

@@ -4,11 +4,9 @@
 
 #include "analysis/AnalysisManager.h"
 #include "ssa/SSA.h"
-#include "support/StringUtil.h"
+#include "support/WordInterner.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -52,7 +50,9 @@ private:
 class SimpleGVN {
 public:
   SimpleGVN(Function &F, PassContext *Ctx)
-      : F(F), Ctx(Ctx), P(computeCongruencePartition(F)), UF(numClasses()) {}
+      : F(F), Ctx(Ctx), P(computeCongruencePartition(F)), UF(P.NumClasses),
+        VR(P.NumClasses, None), Seen(P.NumClasses, 0),
+        Tried(F.numBlocks(), 0) {}
 
   SimpleGVNStats run() {
     // Coarsen the AWZ fixpoint with the value-expression rules until no
@@ -69,9 +69,10 @@ public:
     computeValueRoots();
     compositionRound(/*DetectOnly=*/true);
 
-    std::map<Reg, unsigned> Final;
-    for (auto &[R, C] : P.ClassOf)
-      Final[R] = UF.find(C);
+    std::vector<unsigned> Final(P.ClassOf.size(), None);
+    for (Reg R = 0; R < P.ClassOf.size(); ++R)
+      if (P.ClassOf[R] != None)
+        Final[R] = UF.find(P.ClassOf[R]);
     GVNStats RS = renameToClassReps(F, Final, Ctx);
     Stats.Registers = RS.Registers;
     Stats.Classes = RS.Classes;
@@ -80,33 +81,32 @@ public:
   }
 
 private:
-  unsigned numClasses() const {
-    unsigned N = 0;
-    for (auto &[R, C] : P.ClassOf)
-      N = std::max(N, C + 1);
-    return N;
-  }
+  /// "No class": a register the partition never saw, or an absent entry.
+  static constexpr unsigned None = CongruencePartition::NoClass;
+  /// First word of a phi value signature. Other signatures start with a
+  /// base-key id, which is always smaller, so the two kinds never collide.
+  static constexpr uint32_t PhiTag = ~0u;
 
-  /// Root class of a register, or ~0u for a register the partition never
+  /// Root class of a register, or None for a register the partition never
   /// saw (malformed input; every rule skips such operands).
   unsigned rootOf(Reg R) {
-    auto It = P.ClassOf.find(R);
-    return It == P.ClassOf.end() ? ~0u : UF.find(It->second);
+    unsigned C = P.classOf(R);
+    return C == None ? None : UF.find(C);
   }
 
   /// Copies are renaming barriers (their classes never merge with their
   /// source's class — the §2.2 variable-name discipline), but they are
   /// value-transparent: for VALUE comparisons a copy's class stands for
   /// its source's class. VR maps each class root to the root it carries
-  /// the value of; identity for everything but copy classes.
+  /// the value of; None for everything but copy classes.
   void computeValueRoots() {
-    VR.clear();
+    std::fill(VR.begin(), VR.end(), None);
     F.forEachBlock([&](const BasicBlock &B) {
       for (const Instruction &I : B.Insts) {
         if (!I.isCopy() || !I.hasDst() || I.Operands.empty())
           continue;
         unsigned C = rootOf(I.Dst), S = rootOf(I.Operands[0]);
-        if (C != ~0u && S != ~0u && C != S)
+        if (C != None && S != None && C != S)
           VR[C] = S;
       }
     });
@@ -116,22 +116,42 @@ private:
   /// carries (cycle-guarded: pathological copy cycles resolve to the last
   /// class before the loop closes).
   unsigned valueOf(unsigned C) {
-    if (C == ~0u)
+    if (C == None)
       return C;
     C = UF.find(C);
-    std::set<unsigned> Seen;
+    if (++Epoch == 0) {
+      std::fill(Seen.begin(), Seen.end(), 0);
+      Epoch = 1;
+    }
     while (true) {
-      auto It = VR.find(C);
-      if (It == VR.end())
+      if (VR[C] == None)
         return C;
-      unsigned Next = UF.find(It->second);
-      if (Next == C || !Seen.insert(C).second)
+      unsigned Next = UF.find(VR[C]);
+      if (Next == C || Seen[C] == Epoch)
         return C;
+      Seen[C] = Epoch;
       C = Next;
     }
   }
 
   unsigned valueOfReg(Reg R) { return valueOf(rootOf(R)); }
+
+  /// Writes the value signature of non-phi \p I into Sig: its base key,
+  /// then its operands' value classes.
+  void exprSig(const Instruction &I) {
+    Sig.clear();
+    Sig.push_back(P.KeyOf[I.Dst]);
+    for (Reg Op : I.Operands)
+      Sig.push_back(valueOfReg(Op));
+  }
+
+  /// Interns Sig; the first class to intern a signature owns it.
+  unsigned internSig(unsigned C) {
+    auto [Id, Inserted] = Sigs.intern(Sig);
+    if (Inserted)
+      Owner.push_back(C);
+    return Id;
+  }
 
   /// Upward congruence closure over VALUE signatures: at the AWZ fixpoint,
   /// equal (base key, operand classes) already imply equal classes, so
@@ -140,28 +160,26 @@ private:
   /// collapses phis whose inputs carry one value per edge.
   bool closureRound() {
     bool Changed = false;
-    std::map<std::string, unsigned> Index;
+    Sigs.clear();
+    Owner.clear();
     F.forEachBlock([&](const BasicBlock &B) {
       for (const Instruction &I : B.Insts) {
         if (!I.hasDst())
           continue;
         unsigned C = rootOf(I.Dst);
-        if (C == ~0u)
+        if (C == None)
           continue;
-        const std::string &Key = P.Keys[I.Dst];
         // Loads are never congruent to anything; their keys are unique.
-        if (Key.compare(0, 5, "load:") == 0)
+        if (I.Op == Opcode::Load)
           continue;
-        std::string Sig;
-        if (I.isPhi())
-          Sig = phiSig(B.id(), I.Ty, phiEdgeValues(I));
-        else {
-          Sig = Key;
-          for (Reg Op : I.Operands)
-            Sig += strprintf("|%u", valueOfReg(Op));
+        if (I.isPhi()) {
+          phiEdgeValues(I);
+          phiSig(B.id(), I.Ty, Edges);
+        } else {
+          exprSig(I);
         }
-        auto [It, Inserted] = Index.emplace(Sig, C);
-        if (!Inserted && UF.unite(It->second, C))
+        unsigned Id = internSig(C);
+        if (UF.unite(Owner[Id], C))
           Changed = true;
       }
     });
@@ -178,32 +196,32 @@ private:
         if (!I.isPhi() || !I.hasDst() || I.Operands.empty())
           continue;
         unsigned C = rootOf(I.Dst);
-        if (C == ~0u)
+        if (C == None)
           continue;
         if (FaultFirstInputPhi) {
           unsigned In = rootOf(I.Operands[0]);
-          if (In != ~0u && UF.unite(C, In))
+          if (In != None && UF.unite(C, In))
             Changed = true;
           continue;
         }
-        unsigned Common = ~0u;
+        unsigned Common = None;
         bool Ok = true;
         for (Reg Op : I.Operands) {
           unsigned In = valueOfReg(Op);
-          if (In == ~0u) {
+          if (In == None) {
             Ok = false;
             break;
           }
           if (In == valueOf(C))
             continue; // self-reference
-          if (Common == ~0u)
+          if (Common == None)
             Common = In;
           else if (In != Common)
             Ok = false;
           if (!Ok)
             break;
         }
-        if (Ok && Common != ~0u && UF.unite(C, Common)) {
+        if (Ok && Common != None && UF.unite(C, Common)) {
           ++Stats.PhiSimplified;
           Changed = true;
         }
@@ -219,28 +237,40 @@ private:
   /// proven phi-carried redundancy (DetectOnly counts it).
   bool compositionRound(bool DetectOnly) {
     // Phi instructions by VALUE root, with their blocks; and the
-    // value-phi / value-expression lookup tables for this round.
-    PhiMap PhisByValue;
-    std::map<std::string, unsigned> PhiIndex;
-    std::map<std::string, unsigned> ExprIndex;
+    // value-phi / value-expression signatures of this round.
+    Sigs.clear();
+    Owner.clear();
+    std::vector<std::pair<unsigned, PhiSite>> Phis;
     F.forEachBlock([&](const BasicBlock &B) {
       for (const Instruction &I : B.Insts) {
         if (!I.hasDst())
           continue;
         unsigned C = rootOf(I.Dst);
-        if (C == ~0u)
+        if (C == None)
           continue;
         if (I.isPhi()) {
-          PhisByValue[valueOf(C)].push_back({B.id(), &I});
-          PhiIndex.emplace(phiSig(B.id(), I.Ty, phiEdgeValues(I)), C);
+          Phis.push_back({valueOf(C), {B.id(), &I}});
+          phiEdgeValues(I);
+          phiSig(B.id(), I.Ty, Edges);
+          internSig(C);
         } else if (I.isExpression() && !I.Operands.empty()) {
-          std::string Sig = P.Keys[I.Dst];
-          for (Reg Op : I.Operands)
-            Sig += strprintf("|%u", valueOfReg(Op));
-          ExprIndex.emplace(Sig, C);
+          exprSig(I);
+          internSig(C);
         }
       }
     });
+    // Bucket the phis by value class, keeping block order in each bucket.
+    PhiBegin.assign(P.NumClasses + 1, 0);
+    for (auto &[V, Site] : Phis)
+      ++PhiBegin[V + 1];
+    for (unsigned V = 0; V < P.NumClasses; ++V)
+      PhiBegin[V + 1] += PhiBegin[V];
+    PhiSites.resize(Phis.size());
+    {
+      std::vector<unsigned> Fill(PhiBegin.begin(), PhiBegin.end() - 1);
+      for (auto &[V, Site] : Phis)
+        PhiSites[Fill[V]++] = Site;
+    }
 
     bool Changed = false;
     F.forEachBlock([&](const BasicBlock &B) {
@@ -249,30 +279,32 @@ private:
             X.Operands.empty())
           continue;
         unsigned CX = rootOf(X.Dst);
-        if (CX == ~0u)
+        if (CX == None)
           continue;
         // Candidate phi blocks: any block holding a phi whose value one of
-        // x's operands carries.
-        std::set<BlockId> Tried;
+        // x's operands carries. Tried[b] == TryEpoch: b was tried for x.
+        if (++TryEpoch == 0) {
+          std::fill(Tried.begin(), Tried.end(), 0);
+          TryEpoch = 1;
+        }
         bool Done = false;
         for (Reg Op : X.Operands) {
           if (Done)
             break;
           unsigned VO = valueOfReg(Op);
-          if (VO == ~0u)
+          if (VO == None)
             continue;
-          auto PIt = PhisByValue.find(VO);
-          if (PIt == PhisByValue.end())
-            continue;
-          for (auto &[BId, Anchor] : PIt->second) {
-            if (Done || !Tried.insert(BId).second)
+          for (unsigned K = PhiBegin[VO]; K < PhiBegin[VO + 1]; ++K) {
+            auto [BId, Anchor] = PhiSites[K];
+            if (Done || Tried[BId] == TryEpoch)
               continue;
-            std::vector<std::pair<BlockId, unsigned>> Comp;
-            if (!composeOver(X, BId, *Anchor, PhisByValue, ExprIndex, Comp))
+            Tried[BId] = TryEpoch;
+            if (!composeOver(X, BId, *Anchor))
               continue;
-            auto VIt = PhiIndex.find(phiSig(BId, X.Ty, std::move(Comp)));
-            if (VIt != PhiIndex.end()) {
-              if (!DetectOnly && UF.unite(CX, VIt->second)) {
+            phiSig(BId, X.Ty, Comp);
+            unsigned Id = Sigs.find(Sig);
+            if (Id != WordInterner::None) {
+              if (!DetectOnly && UF.unite(CX, Owner[Id])) {
                 ++Stats.PhiCarried;
                 Changed = true;
                 Done = true; // x's class changed; revisit next round
@@ -290,90 +322,107 @@ private:
     return Changed;
   }
 
-  using PhiMap =
-      std::map<unsigned,
-               std::vector<std::pair<BlockId, const Instruction *>>>;
+  using PhiSite = std::pair<BlockId, const Instruction *>;
 
-  /// Builds the per-edge component value classes of \p X over the edges of
-  /// block \p B (edge order taken from \p Anchor, a phi of B). Each
-  /// operand contributes its phi's incoming value when its value class
-  /// holds a phi of B, and its (edge-invariant) value class otherwise.
-  /// Fails when a component expression is computed nowhere.
-  bool composeOver(const Instruction &X, BlockId B, const Instruction &Anchor,
-                   PhiMap &PhisByValue,
-                   const std::map<std::string, unsigned> &ExprIndex,
-                   std::vector<std::pair<BlockId, unsigned>> &Comp) {
+  /// The phi of block \p B among those carrying value \p V, or null.
+  const Instruction *phiOfValueIn(unsigned V, BlockId B) const {
+    for (unsigned K = PhiBegin[V]; K < PhiBegin[V + 1]; ++K)
+      if (PhiSites[K].first == B)
+        return PhiSites[K].second;
+    return nullptr;
+  }
+
+  /// Builds into Comp the per-edge component value classes of \p X over
+  /// the edges of block \p B (edge order taken from \p Anchor, a phi of
+  /// B). Each operand contributes its phi's incoming value when its value
+  /// class holds a phi of B, and its (edge-invariant) value class
+  /// otherwise. Fails when a component expression is computed nowhere.
+  bool composeOver(const Instruction &X, BlockId B,
+                   const Instruction &Anchor) {
+    Comp.clear();
     for (unsigned J = 0; J < Anchor.Operands.size(); ++J) {
       BlockId Pred = Anchor.PhiBlocks[J];
-      std::string CSig = P.Keys[X.Dst];
+      CSig.clear();
+      CSig.push_back(P.KeyOf[X.Dst]);
       for (Reg Op : X.Operands) {
         unsigned VO = valueOfReg(Op);
-        if (VO == ~0u)
+        if (VO == None)
           return false;
         unsigned EdgeV = VO;
         // Does this operand carry the value of a phi of B?
-        auto PIt = PhisByValue.find(VO);
-        if (PIt != PhisByValue.end()) {
-          const Instruction *PhiO = nullptr;
-          for (auto &[BId, Phi] : PIt->second)
-            if (BId == B) {
-              PhiO = Phi;
-              break;
-            }
-          if (PhiO) {
-            unsigned K = J;
-            if (PhiO != &Anchor || PhiO->PhiBlocks.size() <= J ||
-                PhiO->PhiBlocks[J] != Pred) {
-              K = ~0u;
-              for (unsigned L = 0; L < PhiO->PhiBlocks.size(); ++L)
-                if (PhiO->PhiBlocks[L] == Pred) {
-                  K = L;
-                  break;
-                }
-              if (K == ~0u)
-                return false;
-            }
-            EdgeV = valueOfReg(PhiO->Operands[K]);
-            if (EdgeV == ~0u)
+        if (const Instruction *PhiO = phiOfValueIn(VO, B)) {
+          unsigned K = J;
+          if (PhiO != &Anchor || PhiO->PhiBlocks.size() <= J ||
+              PhiO->PhiBlocks[J] != Pred) {
+            K = None;
+            for (unsigned L = 0; L < PhiO->PhiBlocks.size(); ++L)
+              if (PhiO->PhiBlocks[L] == Pred) {
+                K = L;
+                break;
+              }
+            if (K == None)
               return false;
           }
+          EdgeV = valueOfReg(PhiO->Operands[K]);
+          if (EdgeV == None)
+            return false;
         }
-        CSig += strprintf("|%u", EdgeV);
+        CSig.push_back(EdgeV);
       }
-      auto EIt = ExprIndex.find(CSig);
-      if (EIt == ExprIndex.end())
+      unsigned Id = Sigs.find(CSig);
+      if (Id == WordInterner::None)
         return false;
-      Comp.push_back({Pred, valueOf(EIt->second)});
+      Comp.push_back({Pred, valueOf(Owner[Id])});
     }
     return true;
   }
 
-  /// Canonical value signature of "phi in block B over these per-edge
-  /// value classes": edges sorted by (predecessor, class). Used both to
-  /// collapse congruent phis and to look up the value-phi a composition
-  /// built.
-  static std::string phiSig(BlockId B, Type Ty,
-                            std::vector<std::pair<BlockId, unsigned>> Edges) {
-    std::sort(Edges.begin(), Edges.end());
-    std::string Sig = strprintf("phi:%u:%u", B, unsigned(Ty));
-    for (auto &[Pred, C] : Edges)
-      Sig += strprintf("|%u:%u", Pred, C);
-    return Sig;
+  /// Writes into Sig the canonical value signature of "phi in block B over
+  /// these per-edge value classes": edges sorted by (predecessor, class).
+  /// Used both to collapse congruent phis and to look up the value-phi a
+  /// composition built.
+  void phiSig(BlockId B, Type Ty,
+              std::vector<std::pair<BlockId, unsigned>> &EdgeVals) {
+    std::sort(EdgeVals.begin(), EdgeVals.end());
+    Sig.clear();
+    Sig.push_back(PhiTag);
+    Sig.push_back(B);
+    Sig.push_back(uint32_t(Ty));
+    for (auto &[Pred, C] : EdgeVals) {
+      Sig.push_back(Pred);
+      Sig.push_back(C);
+    }
   }
 
-  std::vector<std::pair<BlockId, unsigned>>
-  phiEdgeValues(const Instruction &I) {
-    std::vector<std::pair<BlockId, unsigned>> Edges;
+  /// Writes into Edges the (predecessor, value class) pair of each input of
+  /// phi \p I.
+  void phiEdgeValues(const Instruction &I) {
+    Edges.clear();
     for (unsigned J = 0; J < I.Operands.size(); ++J)
       Edges.push_back({I.PhiBlocks[J], valueOfReg(I.Operands[J])});
-    return Edges;
   }
 
   Function &F;
   PassContext *Ctx;
   CongruencePartition P;
   UnionFind UF;
-  std::map<unsigned, unsigned> VR;
+  /// Class root -> root of the class it carries the value of, or None.
+  std::vector<unsigned> VR;
+  /// valueOf's cycle guard: Seen[c] == Epoch once c was passed this call.
+  std::vector<unsigned> Seen;
+  unsigned Epoch = 0;
+  /// compositionRound's per-candidate guard over phi blocks.
+  std::vector<unsigned> Tried;
+  unsigned TryEpoch = 0;
+  /// One round's signatures, and the class that interned each first.
+  WordInterner Sigs;
+  std::vector<unsigned> Owner;
+  /// compositionRound's phis bucketed by value class (CSR).
+  std::vector<unsigned> PhiBegin;
+  std::vector<PhiSite> PhiSites;
+  /// Signature scratch buffers, reused across instructions.
+  std::vector<uint32_t> Sig, CSig;
+  std::vector<std::pair<BlockId, unsigned>> Edges, Comp;
   SimpleGVNStats Stats;
 };
 

@@ -9,128 +9,153 @@
 #include "ir/ExprKey.h"
 #include "ssa/SSA.h"
 #include "support/StringUtil.h"
+#include "support/WordInterner.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 using namespace epre;
 
 namespace {
 
-/// Builds base keys and the operand lists used for refinement.
+/// Base-key kinds: the first word of an interned base key.
+enum class KeyKind : uint32_t {
+  IntConst,
+  FloatConst,
+  Load,
+  Phi,
+  Copy,
+  Call,
+  Op,
+  Param
+};
+
+/// Builds the base keys (interned in ascending register order, so a key's
+/// id is also the class id of the optimistic initial partition) and the
+/// operand lists used for refinement.
 void collect(Function &F, CongruencePartition &P) {
-#ifndef NDEBUG
-  std::map<Reg, bool> Defined;
-#endif
+  unsigned NR = F.numRegs();
+  std::vector<const Instruction *> Def(NR, nullptr);
+  std::vector<BlockId> DefBlock(NR, InvalidBlock);
   F.forEachBlock([&](const BasicBlock &B) {
     for (const Instruction &I : B.Insts) {
       if (!I.hasDst())
         continue;
-#ifndef NDEBUG
-      assert(!Defined.count(I.Dst) && "valueNumberSSA requires SSA form");
-      Defined[I.Dst] = true;
-#endif
-      std::string K;
-      std::vector<Reg> Ops;
-      switch (I.Op) {
+      assert(!Def[I.Dst] && "valueNumberSSA requires SSA form");
+      Def[I.Dst] = &I;
+      DefBlock[I.Dst] = B.id();
+    }
+  });
+  std::vector<uint8_t> IsParam(NR, 0);
+  for (Reg Param : F.params())
+    IsParam[Param] = 1;
+
+  P.KeyOf.assign(NR, CongruencePartition::NoClass);
+  P.OpBegin.assign(NR + 1, 0);
+  P.Operands.clear();
+  WordInterner Keys;
+  std::vector<uint32_t> K;
+  std::vector<std::pair<BlockId, Reg>> Inputs;
+  for (Reg R = 0; R < NR; ++R) {
+    P.OpBegin[R] = unsigned(P.Operands.size());
+    const Instruction *I = Def[R];
+    if (!IsParam[R] && !I)
+      continue;
+    K.clear();
+    if (IsParam[R]) {
+      K = {uint32_t(KeyKind::Param), R};
+    } else {
+      switch (I->Op) {
       case Opcode::LoadI:
-        K = strprintf("ci:%lld", (long long)I.IImm);
+        K = {uint32_t(KeyKind::IntConst), uint32_t(uint64_t(I->IImm)),
+             uint32_t(uint64_t(I->IImm) >> 32)};
         break;
       case Opcode::LoadF: {
         uint64_t Bits;
-        std::memcpy(&Bits, &I.FImm, sizeof(double));
-        K = strprintf("cf:%llu", (unsigned long long)Bits);
+        std::memcpy(&Bits, &I->FImm, sizeof(double));
+        K = {uint32_t(KeyKind::FloatConst), uint32_t(Bits),
+             uint32_t(Bits >> 32)};
         break;
       }
       case Opcode::Load:
         // Memory values are never congruent to anything (no alias info).
-        K = strprintf("load:%u", I.Dst);
-        Ops.assign(I.Operands.begin(), I.Operands.end());
+        K = {uint32_t(KeyKind::Load), R};
+        P.Operands.insert(P.Operands.end(), I->Operands.begin(),
+                          I->Operands.end());
         break;
-      case Opcode::Phi: {
+      case Opcode::Phi:
         // Phis are congruent only within one block; operands compared in
         // predecessor order so positional refinement is meaningful.
-        K = strprintf("phi:%u:%u", B.id(), unsigned(I.Ty));
-        std::vector<std::pair<BlockId, Reg>> Inputs;
-        for (unsigned J = 0; J < I.Operands.size(); ++J)
-          Inputs.push_back({I.PhiBlocks[J], I.Operands[J]});
+        K = {uint32_t(KeyKind::Phi), DefBlock[R], uint32_t(I->Ty)};
+        Inputs.clear();
+        for (unsigned J = 0; J < I->Operands.size(); ++J)
+          Inputs.push_back({I->PhiBlocks[J], I->Operands[J]});
         std::sort(Inputs.begin(), Inputs.end());
-        for (auto &[Pred, R] : Inputs)
-          Ops.push_back(R);
+        for (auto &[Pred, Op] : Inputs)
+          P.Operands.push_back(Op);
         break;
-      }
       case Opcode::Copy:
         // SSA construction folds copies; a remaining one is equivalent to
         // its source, which refinement discovers if we class it with the
         // identity operator.
-        K = "copy";
-        Ops.assign(I.Operands.begin(), I.Operands.end());
+        K = {uint32_t(KeyKind::Copy)};
+        P.Operands.insert(P.Operands.end(), I->Operands.begin(),
+                          I->Operands.end());
         break;
       case Opcode::Call:
-        K = strprintf("call:%u:%u", unsigned(I.Intr), unsigned(I.Ty));
-        Ops.assign(I.Operands.begin(), I.Operands.end());
+        K = {uint32_t(KeyKind::Call), uint32_t(I->Intr), uint32_t(I->Ty)};
+        P.Operands.insert(P.Operands.end(), I->Operands.begin(),
+                          I->Operands.end());
         break;
       default:
-        K = strprintf("op:%u:%u", unsigned(I.Op), unsigned(I.Ty));
-        Ops.assign(I.Operands.begin(), I.Operands.end());
+        K = {uint32_t(KeyKind::Op), uint32_t(I->Op), uint32_t(I->Ty)};
+        P.Operands.insert(P.Operands.end(), I->Operands.begin(),
+                          I->Operands.end());
         break;
       }
-      P.Keys[I.Dst] = std::move(K);
-      P.Operands[I.Dst] = std::move(Ops);
     }
-  });
-  for (Reg Param : F.params()) {
-    P.Keys[Param] = strprintf("param:%u", Param);
-    P.Operands[Param] = {};
+    P.KeyOf[R] = Keys.intern(K).first;
   }
+  P.OpBegin[NR] = unsigned(P.Operands.size());
 
   // Initial (optimistic) partition: by base key alone.
-  std::map<std::string, unsigned> ClassByKey;
-  for (auto &[R, K] : P.Keys) {
-    auto It = ClassByKey.find(K);
-    if (It == ClassByKey.end())
-      It = ClassByKey.emplace(K, unsigned(ClassByKey.size())).first;
-    P.ClassOf[R] = It->second;
-  }
+  P.ClassOf = P.KeyOf;
+  P.NumClasses = Keys.size();
 }
 
-unsigned countClasses(const std::map<Reg, unsigned> &M) {
-  std::map<unsigned, unsigned> Seen;
-  for (auto &[R, C] : M)
-    Seen[C] = 1;
-  return unsigned(Seen.size());
-}
-
-/// Iteratively re-partitions by (base key, operand classes) until stable.
+/// Iteratively re-partitions by (base key, operand classes) until stable:
+/// each round interns every register's signature word sequence, and the
+/// new class id is the signature's id.
 void refine(CongruencePartition &P) {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    std::map<std::string, unsigned> NewClassBySig;
-    std::map<Reg, unsigned> NewClassOf;
-    for (auto &[R, K] : P.Keys) {
-      std::string Sig = K;
-      for (Reg Op : P.Operands[R]) {
-        auto It = P.ClassOf.find(Op);
+  unsigned NR = unsigned(P.ClassOf.size());
+  std::vector<unsigned> NewClassOf(NR, CongruencePartition::NoClass);
+  WordInterner Sigs;
+  std::vector<uint32_t> Sig;
+  while (true) {
+    Sigs.clear();
+    for (Reg R = 0; R < NR; ++R) {
+      if (P.KeyOf[R] == CongruencePartition::NoClass)
+        continue;
+      Sig.clear();
+      Sig.push_back(P.KeyOf[R]);
+      for (unsigned J = P.OpBegin[R]; J < P.OpBegin[R + 1]; ++J) {
+        Reg Op = P.Operands[J];
+        unsigned C = P.classOf(Op);
         // Operands must be defined (SSA); tolerate stray registers by
         // giving them a unique class.
-        unsigned C = It != P.ClassOf.end() ? It->second : ~Op;
-        Sig += strprintf("|%u", C);
+        Sig.push_back(C != CongruencePartition::NoClass ? C : ~Op);
       }
-      auto It = NewClassBySig.find(Sig);
-      if (It == NewClassBySig.end())
-        It = NewClassBySig.emplace(Sig, unsigned(NewClassBySig.size())).first;
-      NewClassOf[R] = It->second;
+      NewClassOf[R] = Sigs.intern(Sig).first;
     }
     // Stable iff the new partition has the same number of classes (the
-    // signature map can only refine the previous round's partition).
-    if (countClasses(P.ClassOf) != countClasses(NewClassOf))
-      Changed = true;
-    P.ClassOf = std::move(NewClassOf);
+    // signatures can only refine the previous round's partition).
+    bool Changed = Sigs.size() != P.NumClasses;
+    P.NumClasses = Sigs.size();
+    P.ClassOf.swap(NewClassOf);
+    if (!Changed)
+      break;
   }
 }
 
@@ -144,36 +169,41 @@ CongruencePartition epre::computeCongruencePartition(Function &F) {
 }
 
 GVNStats epre::renameToClassReps(Function &F,
-                                 const std::map<Reg, unsigned> &ClassOf,
+                                 const std::vector<unsigned> &ClassOf,
                                  PassContext *Ctx) {
+  const unsigned NoClass = CongruencePartition::NoClass;
   GVNStats Stats;
-  Stats.Registers = unsigned(ClassOf.size());
+  unsigned NR = unsigned(ClassOf.size());
 
   // Representative per class: the smallest register, except parameters
   // always represent their class (their name is part of the signature
   // anyway, so a class holds at most one parameter).
-  std::map<unsigned, Reg> Rep;
-  for (auto &[R, C] : ClassOf) {
-    auto It = Rep.find(C);
-    if (It == Rep.end() || R < It->second)
+  std::vector<Reg> Rep;
+  for (Reg R = 0; R < NR; ++R) {
+    unsigned C = ClassOf[R];
+    if (C == NoClass)
+      continue;
+    ++Stats.Registers;
+    if (C >= Rep.size())
+      Rep.resize(C + 1, NoReg);
+    if (Rep[C] == NoReg) {
       Rep[C] = R;
+      ++Stats.Classes;
+    }
   }
-  for (Reg P : F.params()) {
-    auto It = ClassOf.find(P);
-    if (It != ClassOf.end())
-      Rep[It->second] = P;
-  }
-  Stats.Classes = unsigned(Rep.size());
+  for (Reg P : F.params())
+    if (P < NR && ClassOf[P] != NoClass)
+      Rep[ClassOf[P]] = P;
 
   auto repOf = [&](Reg R) {
-    auto It = ClassOf.find(R);
-    return It == ClassOf.end() ? R : Rep[It->second];
+    return R < NR && ClassOf[R] != NoClass ? Rep[ClassOf[R]] : R;
   };
 
+  // PhiSeen[R] == block id + 1: a phi defining R was kept in that block.
+  std::vector<unsigned> PhiSeen(F.numRegs(), 0);
   F.forEachBlock([&](BasicBlock &B) {
     std::vector<Instruction> Out;
     Out.reserve(B.Insts.size());
-    std::vector<Reg> PhiSeen;
     for (Instruction &I : B.Insts) {
       if (I.hasDst()) {
         Reg NewDst = repOf(I.Dst);
@@ -190,10 +220,9 @@ GVNStats epre::renameToClassReps(Function &F,
         Op = repOf(Op);
       // Congruent phis in one block collapse to a single phi.
       if (I.isPhi()) {
-        if (std::find(PhiSeen.begin(), PhiSeen.end(), I.Dst) !=
-            PhiSeen.end())
+        if (PhiSeen[I.Dst] == B.id() + 1)
           continue;
-        PhiSeen.push_back(I.Dst);
+        PhiSeen[I.Dst] = B.id() + 1;
       }
       Out.push_back(std::move(I));
     }

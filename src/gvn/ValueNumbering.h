@@ -26,6 +26,8 @@
 #include "instrument/PassInstrumentation.h"
 #include "ir/Function.h"
 
+#include <vector>
+
 namespace epre {
 
 struct GVNStats {
@@ -63,15 +65,30 @@ private:
 GVNStats valueNumberSSA(Function &F);
 
 /// The refined AWZ congruence partition of an SSA-form function, before
-/// renaming: a class id per register plus the structural ingredients the
-/// refinement used (base key strings; refinement operand lists, phi
-/// operands in sorted predecessor order). Class ids are dense from 0.
-/// The Saleena–Paleri engine (gvn/SimpleGVN.h) coarsens ClassOf with its
-/// value-expression rules before renaming.
+/// renaming, in flat Reg-indexed tables: a class id per register plus the
+/// structural ingredients the refinement used (an interned base-key id per
+/// register; the refinement operand lists in CSR form, phi operands in
+/// sorted predecessor order). Class ids are dense from 0, numbered in
+/// order of each class's smallest register. Registers that are neither
+/// defined nor parameters have no class. The Saleena–Paleri engine
+/// (gvn/SimpleGVN.h) coarsens ClassOf with its value-expression rules
+/// before renaming.
 struct CongruencePartition {
-  std::map<Reg, std::string> Keys;
-  std::map<Reg, std::vector<Reg>> Operands;
-  std::map<Reg, unsigned> ClassOf;
+  static constexpr unsigned NoClass = ~0u;
+
+  /// Register -> class id, or NoClass.
+  std::vector<unsigned> ClassOf;
+  /// Register -> base-key id (equal ids iff equal base keys), or NoClass.
+  std::vector<unsigned> KeyOf;
+  /// Register R's refinement operands are
+  /// Operands[OpBegin[R] .. OpBegin[R + 1]).
+  std::vector<unsigned> OpBegin;
+  std::vector<Reg> Operands;
+  unsigned NumClasses = 0;
+
+  unsigned classOf(Reg R) const {
+    return R < ClassOf.size() ? ClassOf[R] : NoClass;
+  }
 };
 
 CongruencePartition computeCongruencePartition(Function &F);
@@ -79,11 +96,11 @@ CongruencePartition computeCongruencePartition(Function &F);
 /// The shared rename step of the AWZ and simple-gvn engines: renames every
 /// definition and use to its class representative (the smallest register,
 /// except parameters always represent their class) and collapses congruent
-/// phis within a block. \p ClassOf may be any sound coarsening of the
-/// refined partition. \p Ctx, when non-null, receives a Merge remark per
-/// renamed definition.
-GVNStats renameToClassReps(Function &F,
-                           const std::map<Reg, unsigned> &ClassOf,
+/// phis within a block. \p ClassOf is Reg-indexed, NoClass for registers
+/// outside the partition, and may be any sound coarsening of the refined
+/// partition. \p Ctx, when non-null, receives a Merge remark per renamed
+/// definition.
+GVNStats renameToClassReps(Function &F, const std::vector<unsigned> &ClassOf,
                            PassContext *Ctx = nullptr);
 
 } // namespace epre

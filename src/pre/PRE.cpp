@@ -12,8 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 using namespace epre;
@@ -208,15 +206,24 @@ public:
   }
 
 private:
+  static constexpr unsigned NoExpr = ~0u;
+
   unsigned numExprs() const { return unsigned(Universe.size()); }
 
   // --- Universe -------------------------------------------------------------
 
   void buildUniverse() {
-    // Candidate: every def is the same lexical expression.
-    std::map<Reg, ExprKey> KeyOf;
-    std::map<Reg, Instruction> ProtoOf;
-    std::set<Reg> Bad;
+    unsigned NR = F.numRegs();
+    // Candidate: every def is the same lexical expression. CandOf[r]
+    // indexes the candidate named r; Bad[r] marks names that cannot join
+    // the universe.
+    struct Candidate {
+      ExprKey Key;
+      const Instruction *Proto;
+    };
+    std::vector<Candidate> Cands;
+    std::vector<unsigned> CandOf(NR, NoExpr);
+    std::vector<uint8_t> Bad(NR, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
@@ -224,59 +231,68 @@ private:
         if (!I.hasDst())
           continue;
         if (I.isPhi()) {
-          Bad.insert(I.Dst);
+          Bad[I.Dst] = 1;
           continue;
         }
         if (!I.isExpression()) {
-          Bad.insert(I.Dst); // variables (copies) and loads
+          Bad[I.Dst] = 1; // variables (copies) and loads
           continue;
         }
         // Self-referential names can never be moved.
         for (Reg Op : I.Operands)
           if (Op == I.Dst)
-            Bad.insert(I.Dst);
+            Bad[I.Dst] = 1;
         ExprKey K = makeExprKey(I, /*NormalizeCommutative=*/true);
-        auto It = KeyOf.find(I.Dst);
-        if (It == KeyOf.end()) {
-          KeyOf.emplace(I.Dst, std::move(K));
-          ProtoOf.emplace(I.Dst, I);
-        } else if (!(It->second == K)) {
-          Bad.insert(I.Dst); // one name, two different expressions
+        if (CandOf[I.Dst] == NoExpr) {
+          CandOf[I.Dst] = unsigned(Cands.size());
+          Cands.push_back({std::move(K), &I});
+        } else if (!(Cands[CandOf[I.Dst]].Key == K)) {
+          Bad[I.Dst] = 1; // one name, two different expressions
         }
       }
     });
     for (Reg P : F.params())
-      Bad.insert(P);
+      Bad[P] = 1;
 
     // §5.1 rule: an expression name may not be live across a basic block
     // boundary — every use must follow a local definition. Names violating
-    // this are conservatively dropped from the universe.
-    std::set<Reg> DefinedHere;
+    // this are conservatively dropped from the universe. DefinedIn[r] ==
+    // block id + 1: r was defined earlier in that block.
+    std::vector<unsigned> DefinedIn(NR, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      DefinedHere.clear();
+      unsigned Stamp = B.id() + 1;
       for (const Instruction &I : B.Insts) {
         for (Reg Op : I.Operands)
-          if (KeyOf.count(Op) && !DefinedHere.count(Op) &&
-              Bad.insert(Op).second)
+          if (CandOf[Op] != NoExpr && DefinedIn[Op] != Stamp && !Bad[Op]) {
+            Bad[Op] = 1;
             ++Stats.DroppedUnsafe;
+          }
         if (I.hasDst())
-          DefinedHere.insert(I.Dst);
+          DefinedIn[I.Dst] = Stamp;
       }
     });
 
-    for (auto &[R, Proto] : ProtoOf) {
-      if (Bad.count(R))
+    // The universe in ascending register order, which fixes the order of
+    // insertions on each edge.
+    ExprOf.assign(NR, NoExpr);
+    for (Reg R = 0; R < NR; ++R) {
+      if (CandOf[R] == NoExpr || Bad[R])
         continue;
-      ExprIndex[R] = unsigned(Universe.size());
-      Universe.push_back({R, Proto});
+      ExprOf[R] = unsigned(Universe.size());
+      Universe.push_back({R, *Cands[CandOf[R]].Proto});
     }
     // Reverse map: operand register -> expressions it occurs in.
-    RegToExprs.assign(F.numRegs(), {});
+    RegToExprs.assign(NR, {});
     for (unsigned E = 0; E < Universe.size(); ++E)
       for (Reg Op : Universe[E].Proto.Operands)
         RegToExprs[Op].push_back(E);
+  }
+
+  /// The universe expression named \p R, or NoExpr.
+  unsigned exprOf(Reg R) const {
+    return R < ExprOf.size() ? ExprOf[R] : NoExpr;
   }
 
   /// True if \p I is the (unique) computation of universe expression \p E.
@@ -293,30 +309,36 @@ private:
     COMP.assign(NB, BitVector(NE));
     TRANSP.assign(NB, BitVector(NE, true));
 
+    // Per-expression block stamps (block id + 1), so a block costs its
+    // instructions and kills, not NE bits. KilledIn[e]: some operand of e
+    // was redefined so far in the block. CleanIn[e]: e was computed and no
+    // operand changed since.
+    std::vector<unsigned> KilledIn(NE, 0), CleanIn(NE, 0);
+    std::vector<unsigned> Computed; // expressions computed in the block
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      BitVector Killed(NE);        // some operand redefined so far
-      BitVector CompClean(NE);     // computed, no operand killed since
+      unsigned Stamp = B.id() + 1;
+      Computed.clear();
       for (const Instruction &I : B.Insts) {
-        if (I.hasDst()) {
-          auto It = ExprIndex.find(I.Dst);
-          if (It != ExprIndex.end() && computes(I, It->second)) {
-            unsigned E = It->second;
-            if (!Killed.test(E))
-              ANTLOC[B.id()].set(E);
-            CompClean.set(E);
-          }
+        if (!I.hasDst())
+          continue;
+        unsigned E = exprOf(I.Dst);
+        if (E != NoExpr && computes(I, E)) {
+          if (KilledIn[E] != Stamp)
+            ANTLOC[B.id()].set(E);
+          CleanIn[E] = Stamp;
+          Computed.push_back(E);
         }
-        if (I.hasDst()) {
-          for (unsigned E : RegToExprs[I.Dst]) {
-            Killed.set(E);
-            CompClean.reset(E);
-            TRANSP[B.id()].reset(E);
-          }
+        for (unsigned K : RegToExprs[I.Dst]) {
+          KilledIn[K] = Stamp;
+          CleanIn[K] = 0;
+          TRANSP[B.id()].reset(K);
         }
       }
-      COMP[B.id()] = CompClean;
+      for (unsigned E : Computed)
+        if (CleanIn[E] == Stamp)
+          COMP[B.id()].set(E);
     });
   }
 
@@ -394,20 +416,17 @@ private:
       InEdges[Edges[E].To].push_back(E);
   }
 
-  BitVector earliest(const Edge &E) const {
-    unsigned NE = numExprs();
+  /// EARLIEST(p,b) = ANTIN(b) * ~AVOUT(p) * (~TRANSP(p) + ~ANTOUT(p)),
+  /// and ANTIN(b) on the virtual entry edge, written into \p R; \p Guard
+  /// is scratch.
+  void earliest(const Edge &E, BitVector &R, BitVector &Guard) const {
+    R.assignFrom(ANTIN[E.To]);
     if (E.From == InvalidBlock)
-      return ANTIN[E.To];
-    BitVector R = ANTIN[E.To];
-    BitVector NotAvout = AVOUT[E.From];
-    NotAvout.flip();
-    R &= NotAvout;
-    BitVector Guard = TRANSP[E.From]; // ~TRANSP | ~ANTOUT
-    Guard &= ANTOUT[E.From];
-    Guard.flip();
-    R &= Guard;
-    (void)NE;
-    return R;
+      return;
+    R.intersectWithComplement(AVOUT[E.From]);
+    Guard.assignFrom(TRANSP[E.From]);
+    Guard.intersectWith(ANTOUT[E.From]);
+    R.intersectWithComplement(Guard);
   }
 
   // --- Placement: Drechsler–Stadel lazy code motion -------------------------
@@ -416,10 +435,10 @@ private:
     unsigned NB = F.numBlocks();
     unsigned NE = numExprs();
 
-    std::vector<BitVector> Earliest;
-    Earliest.reserve(Edges.size());
-    for (const Edge &E : Edges)
-      Earliest.push_back(earliest(E));
+    std::vector<BitVector> Earliest(Edges.size(), BitVector(NE));
+    BitVectorScratch Scratch(NE);
+    for (unsigned EI = 0; EI < Edges.size(); ++EI)
+      earliest(Edges[EI], Earliest[EI], Scratch.raw(0));
 
     // LATERIN as greatest fixpoint, solved with a forward worklist instead
     // of round-robin sweeps: LATERIN only shrinks, and a shrink at a block
@@ -429,7 +448,6 @@ private:
     // All iteration-local temporaries live in the scratch pool, keeping
     // the loop allocation-free in steady state.
     LATERIN.assign(NB, BitVector(NE, true));
-    BitVectorScratch Scratch(NE);
     auto laterOf = [&](unsigned EI, BitVector &L) {
       // LATER = EARLIEST + LATERIN(from)*~ANTLOC(from).
       const Edge &E = Edges[EI];
@@ -469,25 +487,21 @@ private:
       }
     }
 
+    // INSERT(p,b) = LATER(p,b) * ~LATERIN(b), into the edge's own set.
     for (unsigned EI = 0; EI < Edges.size(); ++EI) {
-      BitVector &L = Scratch.raw(1);
-      laterOf(EI, L);
-      BitVector Ins = L;
-      BitVector NotLaterIn = LATERIN[Edges[EI].To];
-      NotLaterIn.flip();
-      Ins &= NotLaterIn;
-      Edges[EI].Insert = std::move(Ins);
+      BitVector &Ins = Edges[EI].Insert;
+      laterOf(EI, Ins);
+      Ins.intersectWithComplement(LATERIN[Edges[EI].To]);
     }
 
+    // DELETE(b) = ANTLOC(b) * ~LATERIN(b).
     DELETE.assign(NB, BitVector(NE));
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      BitVector D = ANTLOC[B.id()];
-      BitVector NotLaterIn = LATERIN[B.id()];
-      NotLaterIn.flip();
-      D &= NotLaterIn;
-      DELETE[B.id()] = std::move(D);
+      BitVector &D = DELETE[B.id()];
+      D.assignFrom(ANTLOC[B.id()]);
+      D.intersectWithComplement(LATERIN[B.id()]);
     });
   }
 
@@ -544,19 +558,13 @@ private:
 
     // Edge insertions (the Drechsler–Stadel 1988 correction):
     // INSERT(p,b) = PPIN(b) * ~AVOUT(p) * ~PPOUT(p).
+    // The virtual entry edge keeps its empty set.
     for (Edge &E : Edges) {
-      if (E.From == InvalidBlock) {
-        E.Insert = BitVector(NE);
+      if (E.From == InvalidBlock)
         continue;
-      }
-      BitVector Ins = PPIN[E.To];
-      BitVector NotAv = AVOUT[E.From];
-      NotAv.flip();
-      Ins &= NotAv;
-      BitVector NotPP = PPOUT[E.From];
-      NotPP.flip();
-      Ins &= NotPP;
-      E.Insert = std::move(Ins);
+      E.Insert.assignFrom(PPIN[E.To]);
+      E.Insert.intersectWithComplement(AVOUT[E.From]);
+      E.Insert.intersectWithComplement(PPOUT[E.From]);
     }
 
     // Morel–Renvoise block insertions (at the end of b) remain:
@@ -566,24 +574,21 @@ private:
       if (!G.isReachable(B.id()))
         return;
       BlockId Id = B.id();
-      BitVector Ins = PPOUT[Id];
-      BitVector NotAv = AVOUT[Id];
-      NotAv.flip();
-      Ins &= NotAv;
-      BitVector Guard = PPIN[Id];
-      Guard &= TRANSP[Id];
-      Guard.flip();
-      Ins &= Guard;
-      BlockInsert[Id] = std::move(Ins);
+      BitVector &Ins = BlockInsert[Id];
+      Ins.assignFrom(PPOUT[Id]);
+      Ins.intersectWithComplement(AVOUT[Id]);
+      BitVector &Guard = Scratch.raw(0);
+      Guard.assignFrom(PPIN[Id]);
+      Guard.intersectWith(TRANSP[Id]);
+      Ins.intersectWithComplement(Guard);
     });
 
     DELETE.assign(NB, BitVector(NE));
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      BitVector D = ANTLOC[B.id()];
-      D &= PPIN[B.id()];
-      DELETE[B.id()] = std::move(D);
+      DELETE[B.id()].assignFrom(ANTLOC[B.id()]);
+      DELETE[B.id()].intersectWith(PPIN[B.id()]);
     });
   }
 
@@ -592,15 +597,13 @@ private:
   void placeGlobalCSE() {
     unsigned NB = F.numBlocks();
     unsigned NE = numExprs();
-    for (Edge &E : Edges)
-      E.Insert = BitVector(NE);
+    // Every edge keeps its empty insertion set.
     DELETE.assign(NB, BitVector(NE));
     F.forEachBlock([&](const BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      BitVector D = ANTLOC[B.id()];
-      D &= AVIN[B.id()];
-      DELETE[B.id()] = std::move(D);
+      DELETE[B.id()].assignFrom(ANTLOC[B.id()]);
+      DELETE[B.id()].intersectWith(AVIN[B.id()]);
     });
   }
 
@@ -731,36 +734,34 @@ private:
   // --- Rewrite --------------------------------------------------------------
 
   void applyDeletions() {
+    // Killed: some operand redefined since block entry (the globally
+    // deletable occurrences are the ones before the first kill).
+    // CompClean: e was computed and no operand changed since — any further
+    // computation is locally redundant (classic local CSE, which
+    // Morel–Renvoise assume as a preprocessing step). Both are kept as
+    // per-expression block stamps (block id + 1), as in computeLocal.
+    std::vector<unsigned> KilledIn(numExprs(), 0), CleanIn(numExprs(), 0);
     std::vector<Instruction> Kept; // reused across blocks to recycle capacity
     F.forEachBlock([&](BasicBlock &B) {
       if (!G.isReachable(B.id()))
         return;
-      // Killed: some operand redefined since block entry (the globally
-      // deletable occurrences are the ones before the first kill).
-      // CompClean: e was computed and no operand changed since — any
-      // further computation is locally redundant (classic local CSE, which
-      // Morel–Renvoise assume as a preprocessing step).
-      BitVector Killed(numExprs());
-      BitVector CompClean(numExprs());
+      unsigned Stamp = B.id() + 1;
       Kept.clear();
       Kept.reserve(B.Insts.size());
       for (Instruction &I : B.Insts) {
         bool DropLocal = false, DropGlobal = false;
         if (I.hasDst()) {
-          auto It = ExprIndex.find(I.Dst);
-          if (It != ExprIndex.end() && computes(I, It->second)) {
-            unsigned E = It->second;
-            if (CompClean.test(E))
+          unsigned E = exprOf(I.Dst);
+          if (E != NoExpr && computes(I, E)) {
+            if (CleanIn[E] == Stamp)
               DropLocal = true; // locally redundant recomputation
-            else if (DELETE[B.id()].test(E) && !Killed.test(E))
+            else if (DELETE[B.id()].test(E) && KilledIn[E] != Stamp)
               DropGlobal = true; // globally (partially) redundant
-            CompClean.set(E);
+            CleanIn[E] = Stamp;
           }
-        }
-        if (I.hasDst()) {
-          for (unsigned E : RegToExprs[I.Dst]) {
-            Killed.set(E);
-            CompClean.reset(E);
+          for (unsigned K : RegToExprs[I.Dst]) {
+            KilledIn[K] = Stamp;
+            CleanIn[K] = 0;
           }
         }
         if (DropLocal || DropGlobal) {
@@ -787,34 +788,38 @@ private:
     for (int E = Ins.findFirst(); E != -1; E = Ins.findNext(unsigned(E)))
       List.push_back(unsigned(E));
     std::vector<unsigned> Ordered;
-    std::set<unsigned> Placed;
+    // PlacedIn[e] == PlaceEpoch: e is already in Ordered.
+    if (PlacedIn.size() != numExprs())
+      PlacedIn.assign(numExprs(), 0);
+    ++PlaceEpoch;
+    auto placed = [&](unsigned E) { return PlacedIn[E] == PlaceEpoch; };
+    auto place = [&](unsigned E) {
+      Ordered.push_back(E);
+      PlacedIn[E] = PlaceEpoch;
+    };
     // Simple repeated sweep; dependency chains are short.
     while (Ordered.size() < List.size()) {
       bool Progress = false;
       for (unsigned E : List) {
-        if (Placed.count(E))
+        if (placed(E))
           continue;
         bool Ready = true;
         for (Reg Op : Universe[E].Proto.Operands) {
-          auto It = ExprIndex.find(Op);
-          if (It != ExprIndex.end() && Ins.test(It->second) &&
-              !Placed.count(It->second))
+          unsigned OpE = exprOf(Op);
+          if (OpE != NoExpr && Ins.test(OpE) && !placed(OpE))
             Ready = false;
         }
         if (!Ready)
           continue;
-        Ordered.push_back(E);
-        Placed.insert(E);
+        place(E);
         Progress = true;
       }
       if (!Progress) {
         // Operand cycle between inserted expressions cannot happen with
         // acyclic lexical nesting, but fall back gracefully.
         for (unsigned E : List)
-          if (!Placed.count(E)) {
-            Ordered.push_back(E);
-            Placed.insert(E);
-          }
+          if (!placed(E))
+            place(E);
       }
     }
     return Ordered;
@@ -893,7 +898,8 @@ private:
   PREStrategy Strategy;
   PREStats Stats;
   std::vector<ExprInfo> Universe;
-  std::map<Reg, unsigned> ExprIndex;
+  /// Register -> index of the universe expression it names, or NoExpr.
+  std::vector<unsigned> ExprOf;
   std::vector<std::vector<unsigned>> RegToExprs;
   std::vector<BitVector> ANTLOC, COMP, TRANSP;
   std::vector<uint8_t> AntBoundary;
@@ -903,6 +909,9 @@ private:
   std::vector<BitVector> BlockInsert;
   std::vector<Edge> Edges;
   std::vector<std::vector<unsigned>> InEdges;
+  /// orderInsertions' per-call placed marks.
+  std::vector<unsigned> PlacedIn;
+  unsigned PlaceEpoch = 0;
 };
 
 } // namespace

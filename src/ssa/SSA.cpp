@@ -7,6 +7,7 @@
 #include "analysis/Liveness.h"
 #include "ssa/ParallelCopy.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -70,8 +71,6 @@ public:
     rename();
 
     Info.OriginalOf.resize(F.numRegs(), NoReg);
-    for (const auto &[New, Old] : OriginalOfMap)
-      Info.OriginalOf[New] = Old;
     return Info;
   }
 
@@ -93,77 +92,124 @@ private:
     Entry->Insts.insert(Entry->Insts.begin(), Inits.begin(), Inits.end());
   }
 
+  /// The blocks defining each register, ascending and duplicate-free, in
+  /// CSR form: register R's are DefSites[DefBegin[R] .. DefBegin[R + 1]).
   void collectDefSites() {
-    DefBlocks.clear();
+    unsigned NR = F.numRegs();
+    // LastIn[R] == block id + 1: R's def site in that block is recorded.
+    std::vector<unsigned> LastIn(NR, 0);
+    DefBegin.assign(NR + 1, 0);
     F.forEachBlock([&](const BasicBlock &B) {
       for (const Instruction &I : B.Insts)
-        if (I.hasDst())
-          DefBlocks[I.Dst].insert(B.id());
+        if (I.hasDst() && LastIn[I.Dst] != B.id() + 1) {
+          LastIn[I.Dst] = B.id() + 1;
+          ++DefBegin[I.Dst + 1];
+        }
+    });
+    for (Reg R = 0; R < NR; ++R)
+      DefBegin[R + 1] += DefBegin[R];
+    DefSites.resize(DefBegin[NR]);
+    std::vector<unsigned> Fill(DefBegin.begin(), DefBegin.end() - 1);
+    std::fill(LastIn.begin(), LastIn.end(), 0);
+    // Blocks are visited in ascending id order, so every list is sorted.
+    F.forEachBlock([&](const BasicBlock &B) {
+      for (const Instruction &I : B.Insts)
+        if (I.hasDst() && LastIn[I.Dst] != B.id() + 1) {
+          LastIn[I.Dst] = B.id() + 1;
+          DefSites[Fill[I.Dst]++] = B.id();
+        }
     });
   }
 
   void insertPhis() {
-    for (const auto &[V, Defs] : DefBlocks) {
+    unsigned NR = F.numRegs();
+    unsigned NB = F.numBlocks();
+    // Per variable V, block stamps (V + 1): HasPhi marks the blocks that
+    // got a phi for V, IsDef the blocks defining V.
+    std::vector<unsigned> HasPhi(NB, 0), IsDef(NB, 0);
+    // The variables given a phi in each block, in insertion order.
+    std::vector<std::vector<Reg>> NewPhis(NB);
+    std::vector<BlockId> Work;
+    for (Reg V = 0; V < NR; ++V) {
+      if (DefBegin[V] == DefBegin[V + 1])
+        continue;
+      unsigned Stamp = V + 1;
+      for (unsigned K = DefBegin[V]; K < DefBegin[V + 1]; ++K)
+        IsDef[DefSites[K]] = Stamp;
       // Iterated dominance frontier of the def sites.
-      std::set<BlockId> HasPhi;
-      std::vector<BlockId> Work(Defs.begin(), Defs.end());
+      Work.assign(DefSites.begin() + DefBegin[V],
+                  DefSites.begin() + DefBegin[V + 1]);
       while (!Work.empty()) {
         BlockId B = Work.back();
         Work.pop_back();
         for (BlockId D : DF.frontier(B)) {
-          if (HasPhi.count(D))
+          if (HasPhi[D] == Stamp)
             continue;
           if (!Live.isLiveIn(V, D))
             continue;
-          HasPhi.insert(D);
-          BasicBlock *DB = F.block(D);
-          Instruction Phi = Instruction::makePhi(F.regType(V), V);
-          DB->Insts.insert(DB->Insts.begin(), std::move(Phi));
-          PhiVar[{D, 0}] = V; // re-keyed below; placeholder
+          HasPhi[D] = Stamp;
+          NewPhis[D].push_back(V);
           ++Info.NumPhis;
-          if (!Defs.count(D))
+          if (IsDef[D] != Stamp)
             Work.push_back(D);
         }
       }
     }
-    // Phi instructions may have shifted within blocks as more were inserted;
-    // rebuild the (block, index) -> variable map from phi destinations,
-    // which still carry the original variable name.
-    PhiVar.clear();
-    F.forEachBlock([&](const BasicBlock &B) {
+    // Each phi goes to the front of its block, so the block lists them
+    // last-inserted first; the phi destinations still carry the original
+    // variable names, from which PhiVar is read.
+    PhiVar.assign(NB, {});
+    F.forEachBlock([&](BasicBlock &B) {
+      std::vector<Reg> &Vars = NewPhis[B.id()];
+      if (!Vars.empty()) {
+        std::vector<Instruction> Phis;
+        Phis.reserve(Vars.size());
+        for (auto It = Vars.rbegin(); It != Vars.rend(); ++It)
+          Phis.push_back(Instruction::makePhi(F.regType(*It), *It));
+        B.Insts.insert(B.Insts.begin(), std::make_move_iterator(Phis.begin()),
+                       std::make_move_iterator(Phis.end()));
+      }
       for (unsigned I = 0; I < B.Insts.size() && B.Insts[I].isPhi(); ++I)
-        PhiVar[{B.id(), I}] = B.Insts[I].Dst;
+        PhiVar[B.id()].push_back(B.Insts[I].Dst);
     });
   }
 
   Reg currentName(Reg V) {
-    auto It = Stacks.find(V);
-    assert(It != Stacks.end() && !It->second.empty() &&
+    assert(V < Top.size() && Top[V] != NoName &&
            "use of register with no reaching definition");
-    return It->second.back();
+    return Names[Top[V]].Name;
   }
 
-  void pushName(Reg V, Reg Name, std::vector<Reg> &PopLog) {
-    Stacks[V].push_back(Name);
-    PopLog.push_back(V);
+  void pushName(Reg V, Reg Name) {
+    Names.push_back({V, Name, Top[V]});
+    Top[V] = unsigned(Names.size() - 1);
+  }
+
+  /// A fresh SSA name for variable \p V.
+  Reg newName(Reg V) {
+    Reg Name = F.makeReg(F.regType(V));
+    if (Name >= Info.OriginalOf.size())
+      Info.OriginalOf.resize(Name + 1, NoReg);
+    Info.OriginalOf[Name] = V;
+    return Name;
   }
 
   void rename() {
+    Top.assign(F.numRegs(), NoName);
+    Names.clear();
     // Parameters name themselves.
-    std::vector<Reg> DummyLog;
     for (Reg P : F.params())
-      Stacks[P].push_back(P);
+      pushName(P, P);
 
     renameBlock(G->rpo()[0]);
 
-    for (Reg P : F.params()) {
-      assert(Stacks[P].size() == 1 && "unbalanced rename stack");
-      (void)P;
-    }
+    assert(Names.size() == F.params().size() && "unbalanced rename stack");
   }
 
   void renameBlock(BlockId B) {
-    std::vector<Reg> PopLog;
+    // Names pushed below this mark belong to dominators; the ones above it
+    // are popped when the block's dominator subtree is done.
+    size_t Mark = Names.size();
     BasicBlock *BB = F.block(B);
 
     std::vector<Instruction> Kept;
@@ -171,11 +217,10 @@ private:
     unsigned PhiIdx = 0;
     for (Instruction &I : BB->Insts) {
       if (I.isPhi()) {
-        Reg V = PhiVar.at({B, PhiIdx++});
-        Reg NewName = F.makeReg(F.regType(V));
-        OriginalOfMap[NewName] = V;
+        Reg V = PhiVar[B][PhiIdx++];
+        Reg NewName = newName(V);
         I.Dst = NewName;
-        pushName(V, NewName, PopLog);
+        pushName(V, NewName);
         Kept.push_back(std::move(I));
         continue;
       }
@@ -184,16 +229,15 @@ private:
         U = currentName(U);
       // Copy folding: x <- y makes y's current name the name of x.
       if (Opts.FoldCopies && I.isCopy()) {
-        pushName(I.Dst, I.Operands[0], PopLog);
+        pushName(I.Dst, I.Operands[0]);
         ++Info.NumCopiesFolded;
         continue; // the copy disappears
       }
       if (I.hasDst()) {
         Reg V = I.Dst;
-        Reg NewName = F.makeReg(F.regType(V));
-        OriginalOfMap[NewName] = V;
+        Reg NewName = newName(V);
         I.Dst = NewName;
-        pushName(V, NewName, PopLog);
+        pushName(V, NewName);
       }
       Kept.push_back(std::move(I));
     }
@@ -202,18 +246,18 @@ private:
     // Fill phi operands of successors with the names current at the end
     // of this block.
     for (BlockId S : G->succs(B)) {
-      const BasicBlock *SB = F.block(S);
-      for (unsigned I = 0; I < SB->Insts.size() && SB->Insts[I].isPhi(); ++I) {
-        Reg V = PhiVar.at({S, I});
-        F.block(S)->Insts[I].addPhiIncoming(currentName(V), B);
-      }
+      BasicBlock *SB = F.block(S);
+      for (unsigned I = 0; I < PhiVar[S].size(); ++I)
+        SB->Insts[I].addPhiIncoming(currentName(PhiVar[S][I]), B);
     }
 
     for (BlockId C : DT->children(B))
       renameBlock(C);
 
-    for (auto It = PopLog.rbegin(); It != PopLog.rend(); ++It)
-      Stacks[*It].pop_back();
+    while (Names.size() > Mark) {
+      Top[Names.back().Var] = Names.back().Prev;
+      Names.pop_back();
+    }
   }
 
   Function &F;
@@ -224,10 +268,20 @@ private:
   DominanceFrontier DF;
   Liveness Live;
   SSAInfo Info;
-  std::map<Reg, std::set<BlockId>> DefBlocks;
-  std::map<std::pair<BlockId, unsigned>, Reg> PhiVar;
-  std::map<Reg, std::vector<Reg>> Stacks;
-  std::map<Reg, Reg> OriginalOfMap;
+  std::vector<unsigned> DefBegin;
+  std::vector<BlockId> DefSites;
+  /// The original variable of each phi, per block in phi order.
+  std::vector<std::vector<Reg>> PhiVar;
+  /// The renaming stacks, all in one array: Names[Top[V]] holds V's
+  /// current name, and each entry links to the one it shadows.
+  struct NameEntry {
+    Reg Var;
+    Reg Name;
+    unsigned Prev;
+  };
+  static constexpr unsigned NoName = ~0u;
+  std::vector<NameEntry> Names;
+  std::vector<unsigned> Top;
 };
 
 } // namespace

@@ -7,9 +7,14 @@
 #include "ir/Verifier.h"
 #include "ssa/SSA.h"
 
+#include "PipelineGolden.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <map>
 
 using namespace epre;
 using epre::test::runPass;
@@ -194,6 +199,238 @@ func @f(%a:i64, %b:i64) -> i64 {
   valueNumberSSA(F);
   const BasicBlock *E = F.entry();
   EXPECT_NE(E->Insts[0].Dst, E->Insts[1].Dst);
+}
+
+//===----------------------------------------------------------------------===//
+// Partition properties: checked against the IR itself, with no reference
+// implementation, on the suite, the corpus and the 200 golden fuzz programs
+//===----------------------------------------------------------------------===//
+
+constexpr unsigned NoClass = CongruencePartition::NoClass;
+
+/// Calls \p Check on every suite routine, corpus function and golden fuzz
+/// program, each put in SSA form the way GVNPass does it (copies kept).
+template <typename CheckFn> void forEachSSAProgram(CheckFn Check) {
+  std::vector<pipeline_golden::Program> Ps = pipeline_golden::suitePrograms();
+  for (std::vector<pipeline_golden::Program> More :
+       {pipeline_golden::corpusPrograms(EPRE_CORPUS_DIR),
+        pipeline_golden::fuzzPrograms()})
+    Ps.insert(Ps.end(), More.begin(), More.end());
+  ASSERT_GE(Ps.size(), 250u);
+  for (const pipeline_golden::Program &P : Ps) {
+    std::unique_ptr<Module> M = P.Build(OptLevel::Reassociation);
+    ASSERT_NE(M, nullptr) << P.Id;
+    Function *F = M->find(P.FnName);
+    ASSERT_NE(F, nullptr) << P.Id;
+    SSAOptions Opts;
+    Opts.FoldCopies = false;
+    runPass(*F, SSABuildPass(Opts));
+    Check(P.Id, *F);
+  }
+}
+
+/// The refinement signature of \p R under \p P's own classes: base key,
+/// then operand classes (an undefined operand stands for itself).
+std::vector<unsigned> signatureOf(const CongruencePartition &P, Reg R) {
+  std::vector<unsigned> Sig{P.KeyOf[R]};
+  for (unsigned J = P.OpBegin[R]; J < P.OpBegin[R + 1]; ++J) {
+    Reg Op = P.Operands[J];
+    unsigned C = P.classOf(Op);
+    Sig.push_back(C != NoClass ? C : ~Op);
+  }
+  return Sig;
+}
+
+/// The defining instruction and block of every register of \p F.
+struct Defs {
+  std::vector<const Instruction *> Inst;
+  std::vector<BlockId> Block;
+  explicit Defs(const Function &F)
+      : Inst(F.numRegs(), nullptr), Block(F.numRegs(), InvalidBlock) {
+    F.forEachBlock([&](const BasicBlock &B) {
+      for (const Instruction &I : B.Insts)
+        if (I.hasDst()) {
+          Inst[I.Dst] = &I;
+          Block[I.Dst] = B.id();
+        }
+    });
+  }
+};
+
+/// The refinement operands of \p I: phi inputs in predecessor order.
+std::vector<Reg> refinementOperands(const Instruction &I) {
+  if (!I.isPhi())
+    return std::vector<Reg>(I.Operands.begin(), I.Operands.end());
+  std::vector<std::pair<BlockId, Reg>> In;
+  for (unsigned J = 0; J < I.Operands.size(); ++J)
+    In.push_back({I.PhiBlocks[J], I.Operands[J]});
+  std::sort(In.begin(), In.end());
+  std::vector<Reg> Ops;
+  for (auto &[Pred, R] : In)
+    Ops.push_back(R);
+  return Ops;
+}
+
+TEST(CongruencePartition, OneMoreRoundChangesNoClass) {
+  forEachSSAProgram([](const std::string &Id, Function &F) {
+    CongruencePartition P = computeCongruencePartition(F);
+    // Re-partitioning by signature must give back exactly the classes:
+    // equal signatures share a class, and a class has one signature.
+    std::map<std::vector<unsigned>, unsigned> ClassBySig;
+    std::map<unsigned, std::vector<unsigned>> SigByClass;
+    for (Reg R = 0; R < P.ClassOf.size(); ++R) {
+      unsigned C = P.ClassOf[R];
+      if (C == NoClass)
+        continue;
+      ASSERT_LT(C, P.NumClasses) << Id;
+      std::vector<unsigned> Sig = signatureOf(P, R);
+      EXPECT_EQ(ClassBySig.emplace(Sig, C).first->second, C)
+          << Id << ": r" << R << " would split from its class";
+      EXPECT_EQ(SigByClass.emplace(C, Sig).first->second, Sig)
+          << Id << ": r" << R << " would join another class";
+    }
+    EXPECT_EQ(SigByClass.size(), P.NumClasses) << Id;
+  });
+}
+
+TEST(CongruencePartition, ClassmatesShareKeyAndCongruentOperands) {
+  unsigned Shared = 0;
+  forEachSSAProgram([&](const std::string &Id, Function &F) {
+    CongruencePartition P = computeCongruencePartition(F);
+    Defs D(F);
+    std::map<unsigned, Reg> FirstOf;
+    for (Reg R = 0; R < P.ClassOf.size(); ++R) {
+      if (P.ClassOf[R] == NoClass)
+        continue;
+      auto [It, New] = FirstOf.emplace(P.ClassOf[R], R);
+      if (New)
+        continue;
+      ++Shared;
+      Reg A = It->second;
+      const Instruction *IA = D.Inst[A], *IR = D.Inst[R];
+      ASSERT_TRUE(IA && IR) << Id << ": r" << A << " ~ r" << R;
+      // Same base key: operator, type, payload; phis in one block.
+      EXPECT_EQ(IA->Op, IR->Op) << Id << ": r" << A << " ~ r" << R;
+      EXPECT_EQ(IA->Ty, IR->Ty) << Id << ": r" << A << " ~ r" << R;
+      if (IA->Op == Opcode::Call) {
+        EXPECT_EQ(IA->Intr, IR->Intr) << Id;
+      }
+      if (IA->Op == Opcode::LoadI) {
+        EXPECT_EQ(IA->IImm, IR->IImm) << Id;
+      }
+      if (IA->Op == Opcode::LoadF) {
+        EXPECT_EQ(std::memcmp(&IA->FImm, &IR->FImm, sizeof(double)), 0)
+            << Id;
+      }
+      if (IA->isPhi()) {
+        EXPECT_EQ(D.Block[A], D.Block[R]) << Id;
+      }
+      // Pairwise-congruent operands.
+      std::vector<Reg> OA = refinementOperands(*IA);
+      std::vector<Reg> OR = refinementOperands(*IR);
+      ASSERT_EQ(OA.size(), OR.size()) << Id << ": r" << A << " ~ r" << R;
+      for (unsigned J = 0; J < OA.size(); ++J) {
+        unsigned CA = P.classOf(OA[J]), CR = P.classOf(OR[J]);
+        EXPECT_EQ(CA, CR) << Id << ": operand " << J << " of r" << A
+                          << " ~ r" << R;
+        if (CA == NoClass) {
+          EXPECT_EQ(OA[J], OR[J]) << Id;
+        }
+      }
+    }
+  });
+  EXPECT_GT(Shared, 0u);
+}
+
+TEST(CongruencePartition, ParameterRepresentsItsClass) {
+  forEachSSAProgram([](const std::string &Id, Function &F) {
+    CongruencePartition P = computeCongruencePartition(F);
+    for (Reg Param : F.params()) {
+      unsigned C = P.classOf(Param);
+      ASSERT_NE(C, NoClass) << Id;
+      // The parameter is its class's only member, so renaming can never
+      // replace it by another name.
+      for (Reg R = 0; R < P.ClassOf.size(); ++R) {
+        if (R != Param) {
+          EXPECT_NE(P.ClassOf[R], C)
+              << Id << ": r" << R << " joins param r" << Param;
+        }
+      }
+    }
+    // Renaming keeps every use of a parameter outside phis (phis alone may
+    // collapse), and adds none.
+    auto nonPhiParamUses = [&] {
+      std::vector<unsigned> N;
+      for (Reg Param : F.params()) {
+        unsigned Uses = 0;
+        F.forEachBlock([&](const BasicBlock &B) {
+          for (const Instruction &I : B.Insts)
+            if (!I.isPhi())
+              Uses += unsigned(std::count(I.Operands.begin(),
+                                          I.Operands.end(), Param));
+        });
+        N.push_back(Uses);
+      }
+      return N;
+    };
+    std::vector<unsigned> Before = nonPhiParamUses();
+    renameToClassReps(F, P.ClassOf);
+    EXPECT_EQ(nonPhiParamUses(), Before) << Id;
+  });
+}
+
+TEST(CongruencePartition, LoadNeverSharesAClass) {
+  unsigned Loads = 0;
+  forEachSSAProgram([&](const std::string &Id, Function &F) {
+    CongruencePartition P = computeCongruencePartition(F);
+    std::vector<unsigned> Members(P.NumClasses, 0);
+    for (unsigned C : P.ClassOf)
+      if (C != NoClass)
+        ++Members[C];
+    F.forEachBlock([&](const BasicBlock &B) {
+      for (const Instruction &I : B.Insts)
+        if (I.Op == Opcode::Load) {
+          ++Loads;
+          EXPECT_EQ(Members[P.classOf(I.Dst)], 1u)
+              << Id << ": load r" << I.Dst;
+        }
+    });
+  });
+  EXPECT_GT(Loads, 0u);
+}
+
+TEST(CongruencePartition, UndefinedOperandGetsAClassOfItsOwn) {
+  auto M = parse(R"(
+func @f(%a:i64) -> i64 {
+^e:
+  %x:i64 = add %a, %a
+  %y:i64 = add %a, %a
+  %z:i64 = add %a, %a
+  %w:i64 = add %a, %a
+  %s:i64 = add %x, %z
+  %t:i64 = add %s, %w
+  ret %t
+}
+)");
+  Function &F = *M->Functions[0];
+  // The parser refuses undefined registers, so x, y and z get theirs here:
+  // x = a + u, y = a + u, z = a + v.
+  Reg U = F.makeReg(Type::I64), V = F.makeReg(Type::I64);
+  BasicBlock *E = F.entry();
+  E->Insts[0].Operands[1] = U;
+  E->Insts[1].Operands[1] = U;
+  E->Insts[2].Operands[1] = V;
+  Reg X = E->Insts[0].Dst, Y = E->Insts[1].Dst, Z = E->Insts[2].Dst,
+      W = E->Insts[3].Dst;
+  CongruencePartition P = computeCongruencePartition(F);
+  // The undefined registers take no class, yet each stands for itself in
+  // its users' signatures: one undefined register, one class.
+  EXPECT_EQ(P.classOf(U), NoClass);
+  EXPECT_EQ(P.classOf(V), NoClass);
+  EXPECT_EQ(P.classOf(X), P.classOf(Y));
+  EXPECT_NE(P.classOf(X), P.classOf(Z));
+  EXPECT_NE(P.classOf(X), P.classOf(W));
+  EXPECT_NE(P.classOf(Z), P.classOf(W));
 }
 
 } // namespace

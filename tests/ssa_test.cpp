@@ -7,9 +7,12 @@
 #include "ssa/ParallelCopy.h"
 #include "ssa/SSA.h"
 
+#include "PipelineGolden.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace epre;
 using epre::test::runPass;
@@ -163,6 +166,76 @@ func @f(%p:i64) -> i64 {
   ExecResult S0 = run(F, 0), S1 = run(F, 1);
   EXPECT_EQ(R0.ReturnValue.I, S0.ReturnValue.I);
   EXPECT_EQ(R1.ReturnValue.I, S1.ReturnValue.I);
+}
+
+/// Checks SSAInfo::OriginalOf after building SSA on \p F: registers that
+/// predate construction map to NoReg; every register construction made
+/// maps to the register it renames. Non-phi instructions keep their order
+/// (copies vanish when folded, and the entry block may gain zero
+/// initializations up front), so each renamed definition is matched with
+/// the definition it replaced.
+void checkOriginalOf(const std::string &Id, Function &F, bool FoldCopies) {
+  unsigned N0 = F.numRegs();
+  std::vector<std::vector<Reg>> Pre(F.numBlocks());
+  F.forEachBlock([&](const BasicBlock &B) {
+    for (const Instruction &I : B.Insts)
+      if (!(FoldCopies && I.isCopy()))
+        Pre[B.id()].push_back(I.hasDst() ? I.Dst : NoReg);
+  });
+  SSAOptions Opts;
+  Opts.FoldCopies = FoldCopies;
+  SSAInfo Info = runPass(F, SSABuildPass(Opts)).lastInfo();
+  const std::vector<Reg> &Orig = Info.OriginalOf;
+  ASSERT_EQ(Orig.size(), F.numRegs()) << Id;
+  for (Reg R = 0; R < N0; ++R)
+    EXPECT_EQ(Orig[R], NoReg) << Id << ": r" << R << " predates SSA";
+  for (Reg R = N0; R < F.numRegs(); ++R) {
+    ASSERT_NE(Orig[R], NoReg) << Id << ": r" << R;
+    ASSERT_LT(Orig[R], N0) << Id << ": r" << R;
+    EXPECT_EQ(F.regType(R), F.regType(Orig[R])) << Id << ": r" << R;
+  }
+  F.forEachBlock([&](const BasicBlock &B) {
+    std::vector<const Instruction *> Post;
+    for (const Instruction &I : B.Insts)
+      if (!I.isPhi())
+        Post.push_back(&I);
+    const std::vector<Reg> &Was = Pre[B.id()];
+    ASSERT_GE(Post.size(), Was.size()) << Id << " ^" << B.label();
+    size_t Inits = Post.size() - Was.size();
+    if (B.id() != 0) {
+      ASSERT_EQ(Inits, 0u) << Id << " ^" << B.label();
+    }
+    for (size_t K = 0; K < Post.size(); ++K) {
+      const Instruction &I = *Post[K];
+      if (K < Inits) {
+        EXPECT_TRUE(I.Op == Opcode::LoadI || I.Op == Opcode::LoadF) << Id;
+        continue;
+      }
+      Reg Old = Was[K - Inits];
+      ASSERT_EQ(I.hasDst(), Old != NoReg) << Id << " ^" << B.label();
+      if (I.hasDst()) {
+        EXPECT_EQ(Orig[I.Dst], Old)
+            << Id << " ^" << B.label() << ": r" << I.Dst;
+      }
+    }
+  });
+}
+
+TEST(SSA, OriginalOfNamesThePreConstructionRegister) {
+  std::vector<pipeline_golden::Program> Ps = pipeline_golden::suitePrograms();
+  for (std::vector<pipeline_golden::Program> More :
+       {pipeline_golden::corpusPrograms(EPRE_CORPUS_DIR),
+        pipeline_golden::fuzzPrograms()})
+    Ps.insert(Ps.end(), More.begin(), More.end());
+  ASSERT_GE(Ps.size(), 250u);
+  for (bool Fold : {false, true})
+    for (const pipeline_golden::Program &P : Ps) {
+      std::unique_ptr<Module> M = P.Build(OptLevel::Reassociation);
+      ASSERT_NE(M, nullptr) << P.Id;
+      Function *F = M->find(P.FnName);
+      ASSERT_NE(F, nullptr) << P.Id;
+      checkOriginalOf(P.Id, *F, Fold);
+    }
 }
 
 TEST(ParallelCopy, IndependentCopies) {
